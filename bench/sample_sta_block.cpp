@@ -4,10 +4,9 @@
 // Workload: the paper's "silicon" reference (section 2.4) on c3540-class
 // synthetic netlists — GateLevelMonteCarlo with inter-die + RDF variation.
 // The systematic spatial field is disabled here on purpose: its per-die
-// Cholesky multiply is O(sites^2), identical on both paths, and would
-// swamp the sampling/STA kernel comparison this bench isolates (the MC
-// engines accept it either way; see fig2_delay_distribution for runs with
-// the field enabled).
+// O(sites) scan is identical on both paths and outside the sampling/STA
+// kernel comparison this bench isolates (the MC engines accept it either
+// way; see fig2_delay_distribution for runs with the field enabled).
 //
 // For each circuit the same run (same seed, same shard plan) executes at
 // every block width in {1, 8, 16, 32, 64} the active SIMD backend accepts
@@ -85,7 +84,7 @@ bool bitwise_eq(const sp::mc::McResult& a, const sp::mc::McResult& b) {
 ///                 strided normal_fill_scaled on the same streams, wrapped
 ///                 in a bench-local span so it reads back through the same
 ///                 aggregate plumbing;
-///   chol — mc.chol: the dispatched lower-triangular field multiply, from
+///   chol — mc.chol: the systematic field's O(sites) AR(1) scan, from
 ///          a field-enabled clone of the spec (the sweep spec above
 ///          disables the field on purpose);
 ///   walk — mc.walk: critical_delay_sample_block over the bound stage;

@@ -74,6 +74,8 @@ class Scheduler {
 
   bool empty() const noexcept { return pending_ranges_ == 0; }
   std::size_t pending_ranges() const noexcept { return pending_ranges_; }
+  /// Requests registered and not yet removed — next() scans all of them.
+  std::size_t request_count() const noexcept { return requests_.size(); }
 
   /// Units assigned to a session so far (the fair-share deficit counter) —
   /// surfaced through Service::stats() as the per-session accounting the

@@ -155,6 +155,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
 
 void Service::finish_request(Request& rq) {
   rq.status = Request::Status::kDone;
+  sched_.remove_request(rq.rid);  // no-op for a cache hit (never added)
   if (rq.result_blob.empty()) {
     // Serialize the fold into the canonical blob form — the cache entry,
     // the client wire payload and (via the byte-identity round-trip) the
@@ -756,6 +757,7 @@ ServiceStats Service::stats() const {
   s.cache_hits = cache_.hits();
   s.cache_misses = cache_.misses();
   s.cache_evictions = cache_.evictions();
+  s.scheduled_requests = sched_.request_count();
   for (std::uint64_t session : sched_.sessions())
     s.session_units.emplace_back(session, sched_.session_units(session));
   return s;

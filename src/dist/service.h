@@ -116,6 +116,9 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  /// Requests still registered with the scheduler: only active ones, so 0
+  /// whenever the service is idle.
+  std::size_t scheduled_requests = 0;
   /// Fair-share deficit counters: units assigned per session so far, in
   /// session-id order (the scheduler's accounting, docs/OBSERVABILITY.md).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> session_units;

@@ -185,12 +185,14 @@ GateLevelMonteCarlo::GateLevelMonteCarlo(
       latch_(latch),
       sta_opt_(sta_opt),
       sampler_([&] {
+        // One layout pass: site_maps_ and latch_sites_ are declared before
+        // sampler_, so they are already constructed here.
+        Layout l = layout_stages(stages_);
+        site_maps_ = std::move(l.site_maps);
+        latch_sites_ = std::move(l.latch_sites);
         return process::VariationSampler(model.technology(), spec,
-                                         layout_stages(stages_).positions);
+                                         std::move(l.positions));
       }()) {
-  Layout l = layout_stages(stages_);
-  site_maps_ = std::move(l.site_maps);
-  latch_sites_ = std::move(l.latch_sites);
   // Materialize every stage's topological order now so the shards' sample
   // STA is read-only on shared netlists (the lazy cache is the one mutable
   // member of Netlist).

@@ -158,9 +158,11 @@ class GateLevelMonteCarlo {
   process::VariationSpec spec_;
   device::LatchModel latch_;
   sta::StaOptions sta_opt_;
-  process::VariationSampler sampler_;          // all sites, all stages
+  // site_maps_ and latch_sites_ precede sampler_: the constructor fills
+  // them from the same layout pass that yields sampler_'s positions.
   std::vector<std::vector<std::size_t>> site_maps_;  // per stage: gate -> site
   std::vector<std::size_t> latch_sites_;       // site of each stage's latch
+  process::VariationSampler sampler_;          // all sites, all stages
   mutable sim::WorkspacePool<ShardScratch> scratch_;  // sim-owned workspaces
 };
 

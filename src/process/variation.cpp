@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/telemetry.h"
-#include "stats/simd.h"
 
 namespace statpipe::process {
 
@@ -91,9 +91,47 @@ VariationSampler::VariationSampler(Technology tech, VariationSpec spec,
     throw std::invalid_argument("VariationSampler: negative sigma");
   has_systematic_ = spec_.sigma_vth_systematic > 0.0 ||
                     spec_.sigma_l_systematic_rel > 0.0;
-  if (has_systematic_) {
-    systematic_chol_ = stats::cholesky_psd(
-        stats::spatial_correlation(positions_, spec_.correlation_length));
+  if (!has_systematic_) return;
+  const double len = spec_.correlation_length;
+  if (!std::isfinite(len) || len <= 0.0)
+    throw std::invalid_argument(
+        "VariationSampler: correlation_length must be finite and > 0");
+  for (const double p : positions_)
+    if (!std::isfinite(p))
+      throw std::invalid_argument(
+          "VariationSampler: non-finite device site position");
+  const std::size_t n = positions_.size();
+  order_.resize(n);
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return positions_[a] < positions_[b];
+                   });
+  rho_.assign(n, 0.0);
+  sq_.assign(n, 1.0);
+  for (std::size_t k = 1; k < n; ++k) {
+    const double d = (positions_[order_[k]] - positions_[order_[k - 1]]) / len;
+    rho_[k] = std::exp(-d);
+    sq_[k] = std::sqrt(-std::expm1(-2.0 * d));  // sqrt(1 - rho^2), no
+                                                // cancellation at small d
+  }
+}
+
+void VariationSampler::correlate_field(const double* z, std::size_t width,
+                                       double* field) const {
+  // Sequential over sorted sites, lanes contiguous within each site: the
+  // per-lane arithmetic is identical at every width, which is what makes
+  // sample_into (width 1) and sample_block_into bitwise-equal per lane.
+  const std::size_t n = order_.size();
+  const double* prev = field + order_[0] * width;
+  std::copy(z, z + width, field + order_[0] * width);
+  for (std::size_t k = 1; k < n; ++k) {
+    double* cur = field + order_[k] * width;
+    const double* zk = z + k * width;
+    const double r = rho_[k];
+    const double s = sq_[k];
+    for (std::size_t j = 0; j < width; ++j) cur[j] = r * prev[j] + s * zk[j];
+    prev = cur;
   }
 }
 
@@ -127,12 +165,7 @@ void VariationSampler::sample_into(stats::Rng& rng, DieSample& d,
     // components (they share the same lithographic origin).
     rng.normal_fill(ws.z, n);
     ws.field.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (std::size_t j = 0; j <= i; ++j)
-        s += systematic_chol_(i, j) * ws.z[j];
-      ws.field[i] = s;
-    }
+    correlate_field(ws.z.data(), 1, ws.field.data());
     if (spec_.sigma_vth_systematic > 0.0) {
       d.dvth_systematic.resize(n);
       for (std::size_t i = 0; i < n; ++i)
@@ -181,10 +214,11 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
   //
   // Phase 1 — inter shifts, then the field's standard normals drawn
   // site-major straight into ws.zt (lane j at [i*W + j]): the layout the
-  // field multiply wants, with no per-lane transpose pass.
+  // field scan wants, with no per-lane transpose pass.
   // mc.draw / mc.chol spans: the block-MC phase breakdown the bench harness
   // and the Chrome trace both read (docs/OBSERVABILITY.md).  Phases 1 and 3
-  // fold into one mc.draw aggregate; the field multiply is mc.chol.
+  // fold into one mc.draw aggregate; the field scan is mc.chol (the name
+  // predates the scan and stays, since bench records key on it).
   static const obs::SpanId kDraw("mc.draw");
   static const obs::SpanId kChol("mc.chol");
   stats::RngBlock rb;
@@ -205,17 +239,13 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
     }
   }
 
-  // Phase 2 — one lane-batched lower-triangular multiply for all W fields
-  // (dispatched to the active SIMD backend; per lane the adds run k
-  // ascending, exactly sample_into's order), then the per-component sigma
+  // Phase 2 — one lane-batched field scan for all W fields (sample_into's
+  // own correlate_field, at width W), then the per-component sigma
   // scaling as contiguous SoA sweeps.
   if (has_systematic_) {
     obs::ScopedSpan chol_span(kChol, static_cast<std::int64_t>(W));
     ws.fieldw.resize(n * W);
-    stats::simd::kernels().chol_field_lanes(systematic_chol_.data(), n,
-                                            systematic_chol_.size(),
-                                            ws.zt.data(), W,
-                                            ws.fieldw.data());
+    correlate_field(ws.zt.data(), W, ws.fieldw.data());
     if (sys_vth)
       for (std::size_t i = 0; i < n * W; ++i)
         d.dvth_systematic[i] = spec_.sigma_vth_systematic * ws.fieldw[i];

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "stats/lanes.h"
-#include "stats/matrix.h"
 #include "stats/rng.h"
 
 namespace statpipe::process {
@@ -121,8 +120,8 @@ struct DieBlock {
 };
 
 /// Reusable scratch for VariationSampler::sample_block_into — the SoA
-/// buffers the lane-batched draw kernel writes and the field multiply
-/// (stats/simd.h's chol_field_lanes) reads, one per Monte-Carlo shard.
+/// buffers the lane-batched draw kernel writes and the field scan
+/// (VariationSampler::correlate_field) reads, one per Monte-Carlo shard.
 /// Layout is backend-agnostic plain arrays: which SIMD backend consumes
 /// them never changes their shape.
 struct BlockWorkspace {
@@ -133,12 +132,23 @@ struct BlockWorkspace {
 /// Generates correlated DieSamples for a fixed set of device sites.
 ///
 /// Sites are positions in normalized die coordinates [0,1]; the systematic
-/// field over sites has correlation exp(-d/correlation_length).  The
-/// Cholesky factor of that field is computed once at construction.
+/// field over sites has correlation exp(-d/correlation_length).  Sites are
+/// 1-D and that kernel is an Ornstein-Uhlenbeck (Markov) covariance, so
+/// its exact factor is a first-order recursion over the sites sorted by
+/// position: with gap d_k to the previous sorted site,
+///   x_0 = z_0,   x_k = rho_k * x_{k-1} + sqrt(1 - rho_k^2) * z_k,
+///   rho_k = exp(-d_k / correlation_length),
+/// and x_k is the field at the k-th sorted site.  Construction sorts once
+/// (O(n log n)); every die costs O(n) and the sampler holds O(n) state.
+/// Tied positions get rho = 1 and a zero innovation — the field is then
+/// exactly equal at both sites.
 /// Sampling is const and reentrant: concurrent sample()/sample_into calls
 /// on one sampler are safe as long as each caller owns its Rng/workspace.
 class VariationSampler {
  public:
+  /// Throws std::invalid_argument on no sites or a negative sigma, and —
+  /// when the systematic field is on — on a non-finite or non-positive
+  /// correlation_length or a non-finite site position.
   VariationSampler(Technology tech, VariationSpec spec,
                    std::vector<double> site_positions);
 
@@ -157,15 +167,15 @@ class VariationSampler {
   /// — inter shifts, the systematic field's standard normals (written
   /// site-major directly, no transpose pass) and RDF — runs lane-batched
   /// through the active SIMD backend's draw kernels (stats::RngBlock over
-  /// stats/simd.h's normal_fill_lanes), and the field's lower-triangular
-  /// multiply lane-batched through chol_field_lanes, per-lane add order
-  /// unchanged.  Lane j consumes lane_rngs[j] with exactly the draw
-  /// sequence of sample_into (lane_rngs[j] is left advanced accordingly),
-  /// so lane j of the block is bitwise-identical to a scalar sample_into
-  /// call on the same Rng state — the equivalence the block Monte-Carlo
-  /// path's determinism rests on.  `out` and `ws` are reused across calls;
-  /// width must be in [1, stats::lanes::max_width()] for the active backend
-  /// (validated, never clamped).
+  /// stats/simd.h's normal_fill_lanes), and the field through the same
+  /// correlate_field scan sample_into runs at width 1, so the per-lane
+  /// arithmetic is shared by construction.  Lane j consumes lane_rngs[j]
+  /// with exactly the draw sequence of sample_into (lane_rngs[j] is left
+  /// advanced accordingly), so lane j of the block is bitwise-identical to
+  /// a scalar sample_into call on the same Rng state — the equivalence the
+  /// block Monte-Carlo path's determinism rests on.  `out` and `ws` are
+  /// reused across calls; width must be in [1, stats::lanes::max_width()]
+  /// for the active backend (validated, never clamped).
   void sample_block_into(stats::Rng* lane_rngs, std::size_t width,
                          DieBlock& out, BlockWorkspace& ws) const;
 
@@ -175,12 +185,27 @@ class VariationSampler {
   /// to build stage correlation matrices consistent with MC.
   static double implied_correlation(double sigma_shared, double sigma_private);
 
+  /// Applies the systematic field's exact factor F to `width` site-major
+  /// lanes of standard normals: field[i*width + j] = (F z_j)[i], where lane
+  /// j's z_j is z[k*width + j] over k (k in sorted-site order), so that
+  /// F F^T = stats::spatial_correlation(positions, correlation_length).
+  /// The one field path of sample_into (width 1) and sample_block_into;
+  /// tests feed unit vectors through it to recover F.  Requires the field
+  /// to be on; `field` must hold site_count()*width doubles.
+  void correlate_field(const double* z, std::size_t width,
+                       double* field) const;
+
  private:
   Technology tech_;
   VariationSpec spec_;
   std::vector<double> positions_;
-  stats::Matrix systematic_chol_;  // empty when sigma_vth_systematic == 0
   bool has_systematic_ = false;
+  // The field recursion, empty when the field is off: sites in ascending
+  // position (ties by index), and per sorted step k >= 1 the decay rho_[k]
+  // and innovation scale sq_[k] = sqrt(1 - rho_[k]^2).
+  std::vector<std::size_t> order_;
+  std::vector<double> rho_;
+  std::vector<double> sq_;
 };
 
 /// Evenly spaced site positions in [0,1] — the default placement for a

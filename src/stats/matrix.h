@@ -2,8 +2,11 @@
 // correlation-matrix construction and validation.
 //
 // Correlation matrices here are at pipeline-stage granularity (a handful of
-// stages) or spatial-grid granularity (hundreds of cells), so a simple dense
-// O(n^3) Cholesky is the right tool; no external linear-algebra dependency.
+// stages), so a simple dense O(n^3) Cholesky is the right tool; no external
+// linear-algebra dependency.  The per-device systematic field does not come
+// through here: its exp(-d/L) kernel over 1-D sites is Markov, and
+// process::VariationSampler samples it with an exact O(n) recursion instead
+// (spatial_correlation stays as that recursion's test oracle).
 #pragma once
 
 #include <cstddef>
@@ -20,10 +23,6 @@ class Matrix {
   std::size_t size() const noexcept { return n_; }
   double& operator()(std::size_t i, std::size_t j) { return a_[i * n_ + j]; }
   double operator()(std::size_t i, std::size_t j) const { return a_[i * n_ + j]; }
-
-  /// Row-major storage (row stride == size()); for handing a factor to the
-  /// raw-pointer lane kernels (stats/simd.h) without copying.
-  const double* data() const noexcept { return a_.data(); }
 
   static Matrix identity(std::size_t n);
 

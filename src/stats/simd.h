@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD backend layer for the lane kernels.
 //
 // The lane kernels (stats/lanes.h's pow core, the branch-free Clark
-// operator, the Cholesky field multiply, the block sample-STA walk) are
+// operator, the lane-batched RNG draws, the block sample-STA walk) are
 // straight-line loops a compiler can vectorize — but how *wide* it
 // vectorizes is fixed at compile time by the -m flags of the translation
 // unit.  This layer compiles the one kernel source (lanes_kernels.inl)
@@ -128,14 +128,6 @@ struct KernelTable {
                           const double* rho, std::size_t n, double* out_mean,
                           double* out_sigma, double* out_alpha, double* out_a,
                           double* out_phi);
-
-  /// Lane-batched lower-triangular multiply for the systematic field:
-  /// field[i*w + j] = sum_{k <= i} chol[i*stride + k] * zt[k*w + j], with k
-  /// ascending per lane (the scalar path's exact add order).  `zt` and
-  /// `field` are site-major with lanes contiguous.
-  void (*chol_field_lanes)(const double* chol, std::size_t n,
-                           std::size_t stride, const double* zt,
-                           std::size_t w, double* field);
 
   /// Advance w interleaved xoshiro256** streams by n steps each:
   /// out[i*stride + j] = the i-th raw u64 of lane j, states (four SoA word

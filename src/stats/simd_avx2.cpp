@@ -23,7 +23,6 @@ const KernelTable* avx2_table() noexcept {
       &avx2::pow_pos_lanes,
       &avx2::variation_factor_lanes,
       &avx2::clark_max_lanes,
-      &avx2::chol_field_lanes,
       &avx2::uniform_u64_lanes,
       &avx2::normal_fill_lanes,
       &avx2::sta_block_walk,

@@ -24,7 +24,6 @@ const KernelTable* avx512_table() noexcept {
       &avx512::pow_pos_lanes,
       &avx512::variation_factor_lanes,
       &avx512::clark_max_lanes,
-      &avx512::chol_field_lanes,
       &avx512::uniform_u64_lanes,
       &avx512::normal_fill_lanes,
       &avx512::sta_block_walk,

@@ -25,7 +25,6 @@ const KernelTable* neon_table() noexcept {
       &neon::pow_pos_lanes,
       &neon::variation_factor_lanes,
       &neon::clark_max_lanes,
-      &neon::chol_field_lanes,
       &neon::uniform_u64_lanes,
       &neon::normal_fill_lanes,
       &neon::sta_block_walk,

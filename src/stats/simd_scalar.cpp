@@ -21,7 +21,6 @@ const KernelTable* scalar_table() noexcept {
       &scalar::pow_pos_lanes,
       &scalar::variation_factor_lanes,
       &scalar::clark_max_lanes,
-      &scalar::chol_field_lanes,
       &scalar::uniform_u64_lanes,
       &scalar::normal_fill_lanes,
       &scalar::sta_block_walk,

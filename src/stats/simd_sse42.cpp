@@ -24,7 +24,6 @@ const KernelTable* sse42_table() noexcept {
       &sse42::pow_pos_lanes,
       &sse42::variation_factor_lanes,
       &sse42::clark_max_lanes,
-      &sse42::chol_field_lanes,
       &sse42::uniform_u64_lanes,
       &sse42::normal_fill_lanes,
       &sse42::sta_block_walk,

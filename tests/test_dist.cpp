@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -56,7 +57,7 @@ sp::dist::RunDescriptor small_descriptor(
   d.samples_per_shard = samples_per_shard;
   d.block_width = 8;
   d.sigma_vth_inter = 0.020;
-  d.sigma_vth_systematic = 0.0;  // keep the O(sites^2) field out of tests
+  d.sigma_vth_systematic = 0.0;  // field off; FieldOn* tests turn it on
   d.enable_rdf = 1;
   sp::dist::finalize_descriptor(d);
   return d;
@@ -289,6 +290,20 @@ TEST(DistWorkload, HashMismatchIsRejected) {
   EXPECT_THROW(sp::dist::Workload::make(d), std::invalid_argument);
 }
 
+TEST(DistWorkload, NonFiniteFieldInputsAreRejected) {
+  // A wire descriptor with the systematic field on must not reach the
+  // sampler with a correlation length that would turn every sample NaN.
+  for (const double len : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0,
+                           -1.0}) {
+    auto d = small_descriptor();
+    d.sigma_vth_systematic = 0.010;
+    d.correlation_length = len;
+    EXPECT_THROW(sp::dist::Workload::make(d), std::invalid_argument)
+        << "L=" << len;
+  }
+}
+
 TEST(DistWorkload, UnknownCircuitIsRejected) {
   sp::dist::RunDescriptor d;
   d.workload = "c9999";
@@ -376,6 +391,26 @@ TEST(DistEndToEnd, TwoWorkerProcessesMatchLocalBitwise) {
   sp::stats::Rng rng(desc.seed);
   const auto local = wl->engine().run(desc.n_samples, rng, exec);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
+  EXPECT_EQ(dist_result.tp_samples.size(), desc.n_samples);
+}
+
+// The full paper variation model — inter-die, systematic field and RDF —
+// across processes: the field scan is as bitwise as the rest of the engine.
+TEST(DistEndToEnd, FieldOnTwoWorkerRunMatchesLocalTaskBitwise) {
+  auto desc = small_descriptor("c3540,c432", 1024, 128);  // 8 shards
+  desc.sigma_vth_systematic = 0.010;
+  sp::dist::finalize_descriptor(desc);
+  sp::dist::CoordinatorOptions opt;
+  opt.units_per_range = 2;
+  opt.idle_timeout_ms = 120000;
+  sp::dist::Coordinator coord(desc, opt);
+  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w2 = spawn_worker_process(coord.port());
+  const sp::mc::McResult dist_result = coord.run().mc;
+  reap(coord, w1);
+  reap(coord, w2);
+  EXPECT_TRUE(sp::dist::bitwise_equal(dist_result,
+                                      sp::dist::run_local_task(desc).mc));
   EXPECT_EQ(dist_result.tp_samples.size(), desc.n_samples);
 }
 

@@ -114,7 +114,7 @@ sp::dist::RunDescriptor small_descriptor() {
   d.samples_per_shard = 64;
   d.block_width = 8;
   d.sigma_vth_inter = 0.020;
-  d.sigma_vth_systematic = 0.0;  // keep the O(sites^2) field out of tests
+  d.sigma_vth_systematic = 0.0;  // field off: the fast MC configuration
   d.enable_rdf = 1;
   sp::dist::finalize_descriptor(d);
   return d;

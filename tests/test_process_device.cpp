@@ -2,13 +2,18 @@
 // delay model (the SPICE stand-in).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
 
 #include "device/delay_model.h"
 #include "device/gate_library.h"
 #include "device/latch.h"
 #include "process/variation.h"
 #include "stats/descriptive.h"
+#include "stats/ks.h"
+#include "stats/matrix.h"
 #include "stats/rng.h"
 
 namespace sp = statpipe;
@@ -98,6 +103,138 @@ TEST(VariationSampler, SystematicFieldSpatiallyCorrelated) {
   EXPECT_GT(rho_near, 0.7);           // neighbours strongly correlated
   EXPECT_LT(rho_far, rho_near - 0.2); // correlation decays with distance
   EXPECT_NEAR(rho_far, std::exp(-2.0), 0.1);  // exp(-d/L), d=1, L=0.5
+}
+
+namespace {
+
+// Shuffled site positions with repeated values — the order and the ties the
+// field scan has to sort out (gate-level layouts are not position-sorted,
+// and a stage's latch site ties with the next stage's first gate).
+std::vector<double> shuffled_sites_with_ties(std::size_t n,
+                                             std::uint64_t seed) {
+  std::vector<double> p = sp::process::linear_sites(n);
+  for (std::size_t i = 0; i + 1 < n; i += 5) p[i + 1] = p[i];
+  std::mt19937_64 g(seed);
+  std::shuffle(p.begin(), p.end(), g);
+  return p;
+}
+
+}  // namespace
+
+TEST(VariationSampler, FieldScanFactorReproducesSpatialCorrelationExactly) {
+  // Feed the n unit vectors through the scan at width n: lane j of the
+  // output is column j of the implied factor F, so F F^T must equal the
+  // exp(-d/L) correlation matrix at every pair — ties included.
+  Technology tech;
+  const std::size_t n = 48;
+  const auto pos = shuffled_sites_with_ties(n, 11);
+  for (const double len : {0.05, 0.5, 4.0}) {
+    auto spec = VariationSpec::inter_intra(0.0, 0.010, len);
+    const sp::process::VariationSampler s(tech, spec, pos);
+    std::vector<double> z(n * n, 0.0), f(n * n, 0.0);
+    for (std::size_t k = 0; k < n; ++k) z[k * n + k] = 1.0;
+    s.correlate_field(z.data(), n, f.data());
+    const auto c = sp::stats::spatial_correlation(pos, len);
+    double worst = 0.0;
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = 0; b < n; ++b) {
+        double ffT = 0.0;
+        for (std::size_t j = 0; j < n; ++j) ffT += f[a * n + j] * f[b * n + j];
+        worst = std::max(worst, std::fabs(ffT - c(a, b)));
+      }
+    EXPECT_LE(worst, 1e-12) << "L=" << len;
+    // A tie is exact: tied sites carry the bitwise-identical field.
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = 0; b < n; ++b) {
+        if (pos[a] != pos[b]) continue;
+        for (std::size_t j = 0; j < n; ++j)
+          ASSERT_EQ(f[a * n + j], f[b * n + j]);
+      }
+  }
+}
+
+TEST(VariationSampler, SampledFieldMatchesCovarianceAndNormalMarginals) {
+  // Sampling end to end: empirical correlation at every site pair against
+  // exp(-d/L), and a KS test of each site's marginal against N(0, 1).
+  Technology tech;
+  const std::size_t n = 14;
+  const double len = 0.3;
+  const double sigma = 0.02;
+  auto spec = VariationSpec::inter_intra(0.0, sigma, len);
+  spec.enable_rdf = false;
+  const auto pos = shuffled_sites_with_ties(n, 5);
+  const sp::process::VariationSampler s(tech, spec, pos);
+  const int kDies = 20000;
+  std::vector<std::vector<double>> x(n);
+  sp::stats::Rng rng(2024);
+  sp::process::DieSample die;
+  sp::process::DieWorkspace ws;
+  for (int k = 0; k < kDies; ++k) {
+    s.sample_into(rng, die, ws);
+    for (std::size_t i = 0; i < n; ++i)
+      x[i].push_back(die.dvth_systematic[i] / sigma);
+  }
+  const double root_n = std::sqrt(static_cast<double>(kDies));
+  for (std::size_t i = 0; i < n; ++i) {
+    // 1.95/sqrt(N): the alpha = 0.001 KS critical value.
+    EXPECT_LT(sp::stats::ks_distance(x[i], sp::stats::Gaussian{0.0, 1.0}),
+              1.95 / root_n)
+        << "site " << i;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double rho = std::exp(-std::fabs(pos[i] - pos[j]) / len);
+      // Sample-correlation SE is (1 - rho^2)/sqrt(N); allow 5 SE, plus a
+      // floor for the exactly tied (rho = 1) pairs.
+      EXPECT_NEAR(sp::stats::pearson(x[i], x[j]), rho,
+                  5.0 * (1.0 - rho * rho) / root_n + 1e-12)
+          << "sites " << i << "," << j;
+    }
+  }
+}
+
+TEST(VariationSampler, FieldStateIsLinearInSites) {
+  // 200 000 sites: a dense factor would need 8*n^2 = 320 GB, so this only
+  // runs with O(n) field state — a guard against O(n^2) storage returning.
+  Technology tech;
+  const std::size_t n = 200000;
+  const sp::process::VariationSampler s(
+      tech, VariationSpec::inter_intra(0.020, 0.010, 0.5),
+      sp::process::linear_sites(n));
+  sp::stats::Rng root(3);
+  std::vector<sp::stats::Rng> lanes{root.fork(0), root.fork(1)};
+  sp::process::DieBlock block;
+  sp::process::BlockWorkspace ws;
+  s.sample_block_into(lanes.data(), 2, block, ws);
+  ASSERT_EQ(block.dvth_systematic.size(), 2 * n);
+  for (const double v : block.dvth_systematic) ASSERT_TRUE(std::isfinite(v));
+}
+
+TEST(VariationSampler, RejectsNonFiniteFieldInputs) {
+  Technology tech;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto sites = sp::process::linear_sites(6);
+  for (const double len : {nan, inf, -inf, 0.0, -0.5}) {
+    EXPECT_THROW(sp::process::VariationSampler(
+                     tech, VariationSpec::inter_intra(0.02, 0.01, len), sites),
+                 std::invalid_argument)
+        << "L=" << len;
+    // The L-only systematic component turns the field on as well.
+    auto l_only = VariationSpec::inter_only(0.02);
+    l_only.sigma_l_systematic_rel = 0.01;
+    l_only.correlation_length = len;
+    EXPECT_THROW(sp::process::VariationSampler(tech, l_only, sites),
+                 std::invalid_argument);
+  }
+  for (const double bad : {nan, inf}) {
+    auto p = sites;
+    p[3] = bad;
+    EXPECT_THROW(sp::process::VariationSampler(
+                     tech, VariationSpec::inter_intra(0.02, 0.01, 0.5), p),
+                 std::invalid_argument);
+    // Field off: neither input is consulted, so neither is rejected.
+    EXPECT_NO_THROW(sp::process::VariationSampler(
+        tech, VariationSpec::inter_intra(0.02, 0.0, bad), p));
+  }
 }
 
 TEST(VariationSampler, RdfScalesWithDeviceWidth) {

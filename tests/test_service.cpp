@@ -64,7 +64,7 @@ sp::dist::RunDescriptor mc_descriptor(std::uint64_t seed = 20260808,
   d.samples_per_shard = samples_per_shard;
   d.block_width = 8;
   d.sigma_vth_inter = 0.020;
-  d.sigma_vth_systematic = 0.0;  // keep the O(sites^2) field out of tests
+  d.sigma_vth_systematic = 0.0;  // field off: the fast MC configuration
   d.enable_rdf = 1;
   sp::dist::finalize_descriptor(d);
   return d;
@@ -570,6 +570,28 @@ TEST(ClusterHandleTest, ResidentFleetServesManyDescriptorsAndCaches) {
   handle.close();
   handle.close();  // idempotent
   EXPECT_THROW((void)handle.submit(d_mc), std::logic_error);
+}
+
+TEST(ClusterHandleTest, FinishedRequestsLeaveTheScheduler) {
+  // Completed requests must not stay registered: next() scans every
+  // registered request on each assignment.
+  sp::dist::ClusterOptions cl;
+  cl.spawn_workers = 1;
+  cl.worker_bin = STATPIPE_WORKER_BIN;
+  cl.coordinator.units_per_range = 1;
+  sp::dist::ClusterHandle handle(cl);
+  const std::vector<sp::dist::RunDescriptor> burst{
+      mc_descriptor(1, 128, 32), mc_descriptor(2, 128, 32),
+      grid_descriptor(3)};
+  for (int wave = 0; wave < 2; ++wave)  // computed, then cached
+    for (const auto& d : burst) {
+      (void)handle.submit(d);
+      EXPECT_EQ(handle.stats().scheduled_requests, 0u);
+    }
+  const sp::dist::ServiceStats st = handle.stats();
+  EXPECT_EQ(st.requests_completed, 6u);
+  EXPECT_EQ(st.cache_hits, 3u);
+  handle.close();
 }
 
 TEST(ClusterHandleTest, CacheCountersFeedTheTelemetryLayer) {

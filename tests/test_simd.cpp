@@ -197,7 +197,8 @@ TEST(SimdMatrix, ClarkMaxLanesMatchesScalarClarkBitwise) {
 
 TEST(SimdMatrix, SampleBlockIntoIsBackendInvariantBitwise) {
   // Same seeds, same width -> every backend must produce the identical
-  // DieBlock (the field multiply is dispatched; draws are per-lane Rngs).
+  // DieBlock (the draws are dispatched, per-lane Rngs; the field scan is
+  // plain code shared by every backend).
   sp::process::Technology tech;
   const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010);
   const sp::process::VariationSampler sampler(
