@@ -44,108 +44,40 @@ pid_t spawn_worker_process(const std::string& worker_bin, std::uint16_t port,
   return pid;
 }
 
-TaskResult run_cluster(const RunDescriptor& desc, const ClusterOptions& opt,
-                       RunMetrics* metrics) {
-  if (opt.spawn_workers > 0 && opt.worker_bin.empty())
-    throw std::invalid_argument(
-        "dist: run_cluster with spawn_workers > 0 needs a worker_bin path");
-  Coordinator coord(desc, opt.coordinator);
-  if (opt.on_listening) opt.on_listening(coord.port());
-  std::vector<pid_t> kids;
-  kids.reserve(opt.spawn_workers);
-  TaskResult result;
-  try {
-    for (std::size_t i = 0; i < opt.spawn_workers; ++i) {
-      kids.push_back(spawn_worker_process(opt.worker_bin, coord.port(),
-                                          !opt.coordinator.verbose,
-                                          opt.coordinator.auth_key));
-      obs::log_info("cluster",
-                    "spawned worker pid " + std::to_string(kids.back()),
-                    opt.coordinator.verbose);
-    }
-    result = coord.run();
-  } catch (...) {
-    // A failed run (attempts exhausted, idle timeout) or a mid-fleet
-    // spawn failure must not leak the workers already forked: this is
-    // library code invoked per grid submission inside long-lived
-    // optimizer processes, not a CLI about to exit.  Kill and reap
-    // before rethrowing.
-    for (pid_t pid : kids) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    throw;
-  }
-  // Reap spawned workers while draining the listener: a worker slow
-  // enough to connect only after the run ended receives kShutdown from
-  // drain_backlog and exits cleanly instead of hanging in its setup read
-  // (and us in waitpid).  An abnormal exit at this point cannot taint the
-  // result — every unit was validated and reassembled before coord.run()
-  // returned — so it is worth a loud warning, not a discarded run.
-  for (pid_t pid : kids) {
-    int status = 0;
-    pid_t got;
-    while ((got = ::waitpid(pid, &status, WNOHANG)) == 0) {
-      coord.drain_backlog();
-      ::usleep(20 * 1000);
-    }
-    if (got < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
-      obs::log_warn("cluster",
-                    "spawned worker " + std::to_string(pid) +
-                        " exited abnormally after the run completed "
-                        "(result unaffected)");
-    else
-      obs::log_info("cluster", "reaped worker pid " + std::to_string(pid),
-                    opt.coordinator.verbose);
-  }
-  if (metrics != nullptr) *metrics = coord.metrics();
-  if (opt.on_metrics) opt.on_metrics(coord.metrics());
-  return result;
-}
-
 namespace {
 
-ServiceOptions handle_service_options(const ClusterOptions& opt) {
-  ServiceOptions s;
-  s.bind_host = opt.coordinator.bind_host;
-  s.port = opt.coordinator.port;
-  s.units_per_range = opt.coordinator.units_per_range;
-  s.max_attempts = opt.coordinator.max_attempts;
-  s.idle_timeout_ms = opt.coordinator.idle_timeout_ms;
-  s.read_deadline_ms = opt.coordinator.read_deadline_ms;
-  s.auth_key = opt.coordinator.auth_key;
-  s.cache_max_bytes = opt.cache_max_bytes;
-  s.verbose = opt.coordinator.verbose;
-  return s;
+// Last-resort wind-down for a fleet whose orderly close() is not an
+// option (spawn failure mid-fleet, or close() itself threw).
+void kill_and_reap(std::vector<pid_t>& kids) {
+  for (pid_t pid : kids) ::kill(pid, SIGKILL);
+  for (pid_t pid : kids) {
+    int status = 0;
+    while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+  kids.clear();
 }
 
 }  // namespace
 
 ClusterHandle::ClusterHandle(ClusterOptions opt)
-    : opt_(std::move(opt)), svc_(handle_service_options(opt_)) {
+    : opt_(std::move(opt)), svc_(opt_.service) {
   if (opt_.spawn_workers > 0 && opt_.worker_bin.empty())
     throw std::invalid_argument(
         "dist: ClusterHandle with spawn_workers > 0 needs a worker_bin path");
-  if (opt_.on_listening) opt_.on_listening(svc_.port());
+  const bool verbose = opt_.service.verbose;
   try {
     for (std::size_t i = 0; i < opt_.spawn_workers; ++i) {
       kids_.push_back(spawn_worker_process(opt_.worker_bin, svc_.port(),
-                                           !opt_.coordinator.verbose,
-                                           opt_.coordinator.auth_key));
+                                           !verbose, opt_.service.auth_key,
+                                           /*serve=*/true));
       obs::log_info("cluster",
                     "spawned resident worker pid " +
                         std::to_string(kids_.back()),
-                    opt_.coordinator.verbose);
+                    verbose);
     }
   } catch (...) {
-    for (pid_t pid : kids_) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids_) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
+    kill_and_reap(kids_);
     throw;
   }
 }
@@ -154,14 +86,7 @@ ClusterHandle::~ClusterHandle() {
   try {
     close();
   } catch (...) {
-    // Destructor: reap what we can, never throw.
-    for (pid_t pid : kids_) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids_) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    kids_.clear();
+    kill_and_reap(kids_);  // destructor: reap what we can, never throw
   }
 }
 
@@ -179,14 +104,23 @@ TaskResult ClusterHandle::submit(const RunDescriptor& desc,
   return svc_.take_local_result(rid);
 }
 
+void ClusterHandle::serve(std::size_t n_requests) {
+  if (closed_) throw std::logic_error("dist: serve on a closed ClusterHandle");
+  const std::size_t target = svc_.requests_completed() + n_requests;
+  svc_.run([&] {
+    return n_requests != 0 && svc_.requests_completed() >= target;
+  });
+}
+
 void ClusterHandle::close() {
   if (closed_) return;
   closed_ = true;
+  // kShutdown ends resident workers (--serve exits on it, not on
+  // disconnect).  Reap with a grace period: a worker mid-range finishes
+  // its current units before it reads the kShutdown, so give it a few
+  // seconds before escalating to SIGKILL.  drain_backlog keeps dismissing
+  // workers that only (re)connect now.
   svc_.shutdown_workers();
-  // Reap with a grace period: a worker mid-range finishes its current
-  // units before it reads the kShutdown, so give it a few seconds before
-  // escalating to SIGKILL.  drain_backlog keeps dismissing stragglers
-  // that only connect now.
   for (pid_t pid : kids_) {
     int status = 0;
     pid_t got = 0;
@@ -208,7 +142,7 @@ void ClusterHandle::close() {
                         " exited abnormally (completed results unaffected)");
     } else {
       obs::log_info("cluster", "reaped worker pid " + std::to_string(pid),
-                    opt_.coordinator.verbose);
+                    opt_.service.verbose);
     }
   }
   kids_.clear();
@@ -259,18 +193,6 @@ RunDescriptor grid_descriptor_for(const netlist::Netlist& nl,
 }
 
 }  // namespace
-
-sta::GridCharacterizer grid_characterizer(ClusterOptions opt) {
-  return [opt = std::move(opt)](
-             const netlist::Netlist& nl, const device::AlphaPowerModel& model,
-             const std::vector<std::vector<double>>& size_grid,
-             const process::VariationSpec& spec, const sta::SstaOptions& sopt)
-             -> std::vector<sta::StageCharacterization> {
-    TaskResult r = run_cluster(
-        grid_descriptor_for(nl, model, size_grid, spec, sopt), opt);
-    return std::move(r.lanes);
-  };
-}
 
 sta::GridCharacterizer grid_characterizer(
     std::shared_ptr<ClusterHandle> handle) {

@@ -53,10 +53,10 @@
 //   service -> client       kError       { string message }
 //
 // Streaming commit semantics: per-unit kResult frames are STAGED by the
-// coordinator and only committed when the range's kRangeDone arrives with
+// service and only committed when the range's kRangeDone arrives with
 // the right echo and count — a worker that dies, stalls or turns hostile
 // mid-range forfeits everything it streamed, and the whole range is
-// re-queued (bounded by CoordinatorOptions::max_attempts).  Committed
+// re-queued (bounded by ServiceOptions::max_attempts).  Committed
 // units fold in ascending unit index with bounded memory — for
 // Monte-Carlo the same left fold the local engine applies (a contiguous
 // prefix is folded into one accumulator as it completes), for SSTA grids

@@ -70,7 +70,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
   // cut from.
   const std::size_t n_units = task_unit_count(desc);
   // units_per_range is a service-wide knob.  A LOCAL submission (the
-  // Coordinator path) keeps the strict v3 contract — an unsatisfiable
+  // ClusterHandle path) keeps the strict v3 contract — an unsatisfiable
   // range size is a caller configuration error, rejected up front; a
   // REMOTE request merely smaller than the chunk clamps to its own size.
   if (client_session == 0 && opt_.units_per_range > n_units)
@@ -261,7 +261,7 @@ void Service::admit_peer() {
     s.set_recv_timeout_ms(5000);
     hello = recv_frame(s, auth_);
     // From here on the read deadline bounds every read from this peer —
-    // see CoordinatorOptions::read_deadline_ms for the rationale.
+    // see ServiceOptions::read_deadline_ms for the rationale.
     if (opt_.read_deadline_ms > 0)
       s.set_read_deadline_ms(opt_.read_deadline_ms);
     else

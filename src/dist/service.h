@@ -10,7 +10,7 @@
 //     of captured authenticated frames (the HMAC key is shared, so the
 //     MAC alone cannot tell connections apart);
 //   * REQUESTS — one submitted descriptor each, local (submit_local, the
-//     Coordinator wrapper's path) or remote (kSubmit from a client), with
+//     ClusterHandle path) or remote (kSubmit from a client), with
 //     per-request fold state, RunMetrics, status and result blob;
 //   * the SCHEDULER (dist/scheduler.h) — priority + per-session
 //     fair-share interleaving of all requests' unit ranges over the
@@ -73,10 +73,16 @@ struct ServiceOptions {
   /// Progress bound, 0 = wait forever: no event at all for this long
   /// while requests are outstanding fails every outstanding request.
   int idle_timeout_ms = 0;
-  /// Per-connection read deadline on every admitted peer (0 = none); see
-  /// CoordinatorOptions::read_deadline_ms for the slow-loris rationale.
+  /// Per-connection read deadline on every admitted peer (0 = none).  A
+  /// peer that goes silent — or drips bytes — mid-frame forfeits its range
+  /// after this long instead of wedging run() (Socket::set_read_deadline_ms
+  /// bounds even slow-loris drips).  Defaults to 30 s: long enough for any
+  /// legitimate frame on a LAN, short enough that a stalled peer cannot
+  /// hold a range hostage.
   int read_deadline_ms = 30000;
-  /// Shared wire-key passphrase ("" = authentication disabled).
+  /// Shared wire-key passphrase ("" = authentication disabled).  When set,
+  /// every frame in both directions carries an HMAC-SHA256 trailer
+  /// (dist/hmac.h) and unauthenticated or tampered peers are rejected.
   std::string auth_key;
   /// Result-cache byte bound (sum of cached result blobs); 0 disables.
   std::size_t cache_max_bytes = std::size_t{64} << 20;
@@ -84,11 +90,11 @@ struct ServiceOptions {
 };
 
 /// Always-on per-REQUEST accounting, surfaced by Service::local_metrics /
-/// Coordinator::metrics / run_cluster's out-param, and shipped to remote
-/// clients inside kRequestDone (queue wait + cache flag).  Plain counters
-/// on the event-loop control path — deterministic except the wall-clock
-/// fields — so they are safe to report unconditionally, unlike the obs
-/// counters which only accumulate while telemetry is enabled.
+/// ClusterHandle::submit (out-param and on_metrics hook), and shipped to
+/// remote clients inside kRequestDone (queue wait + cache flag).  Plain
+/// counters on the event-loop control path — deterministic except the
+/// wall-clock fields — so they are safe to report unconditionally, unlike
+/// the obs counters which only accumulate while telemetry is enabled.
 struct RunMetrics {
   std::size_t units = 0;            ///< plan size (task units)
   std::size_t ranges = 0;           ///< ranges the plan was cut into
@@ -133,9 +139,9 @@ class Service {
 
   std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Submits a descriptor from inside this process (the Coordinator /
-  /// ClusterHandle path) and returns its request id.  Validates like the
-  /// v3 coordinator did — unfinalized descriptor, invalid plan,
+  /// Submits a descriptor from inside this process (the ClusterHandle
+  /// path) and returns its request id.  Validates like the v3 coordinator
+  /// did — unfinalized descriptor, invalid plan,
   /// unsatisfiable units_per_range and oversize unit payloads all throw
   /// std::invalid_argument before any worker sees anything.  A result
   /// cache hit completes the request immediately.
@@ -164,7 +170,7 @@ class Service {
 
   /// Accepts and politely dismisses (kShutdown) every connection waiting
   /// in the listener backlog, without blocking — see
-  /// Coordinator::drain_backlog for the reap-loop rationale.
+  /// ClusterHandle::drain_backlog for the reap-loop rationale.
   void drain_backlog();
 
   std::size_t requests_completed() const noexcept {

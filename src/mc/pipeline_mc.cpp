@@ -212,7 +212,6 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
                              static_cast<std::int64_t>(shard.index));
   static obs::Counter c_samples("mc.samples");
   static obs::Counter c_blocks("mc.blocks");
-  static obs::Counter c_tail("mc.scalar_tail_samples");
   c_samples.add(shard.count);
   const std::size_t n_stages = stages_.size();
   McResult r;
@@ -229,20 +228,23 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
   ws->stage_delay.resize(n_stages * W);
   ws->sta_block.resize(n_stages);
 
-  std::size_t k = 0;
-  for (; W > 1 && k + W <= shard.count; k += W) {
+  // A shard's last block is simply narrower: the block kernels take any
+  // width in [1, max_width()], bitwise-equal per lane.  Rows of
+  // stage_delay are strided by the block's own width w.
+  for (std::size_t k = 0; k < shard.count; k += W) {
+    const std::size_t w = std::min(W, shard.count - k);
     c_blocks.add();
-    for (std::size_t j = 0; j < W; ++j)
+    for (std::size_t j = 0; j < w; ++j)
       ws->lane_rngs[j] = shard_rng.fork(k + j);
-    sampler_.sample_block_into(ws->lane_rngs.data(), W, ws->block,
+    sampler_.sample_block_into(ws->lane_rngs.data(), w, ws->block,
                                ws->block_ws);
     {
-      obs::ScopedSpan walk_span(span_walk(), static_cast<std::int64_t>(W));
+      obs::ScopedSpan walk_span(span_walk(), static_cast<std::int64_t>(w));
       for (std::size_t s = 0; s < n_stages; ++s)
         sta::critical_delay_sample_block(*stages_[s], *model_, ws->block,
                                          site_maps_[s], sta_opt_,
                                          ws->sta_block[s],
-                                         ws->stage_delay.data() + s * W);
+                                         ws->stage_delay.data() + s * w);
     }
     // Latch overheads, lane-batched per stage.  Per lane the draw order is
     // unchanged (stage 0, 1, ... — one normal each, after the die draws);
@@ -251,46 +253,30 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
     // RDF is already in LatchTiming::random_sigma_rel (keeps MC consistent
     // with LatchModel::overhead_distribution on the analytical side).
     {
-      obs::ScopedSpan latch_span(span_latch(), static_cast<std::int64_t>(W));
-      ws->rng_block.pack(ws->lane_rngs.data(), W);
+      obs::ScopedSpan latch_span(span_latch(), static_cast<std::int64_t>(w));
+      ws->rng_block.pack(ws->lane_rngs.data(), w);
       for (std::size_t s = 0; s < n_stages; ++s) {
-        for (std::size_t j = 0; j < W; ++j)
+        for (std::size_t j = 0; j < w; ++j)
           ws->latch_dvth[j] = ws->block.dvth_shared_at(latch_sites_[s], j);
-        latch_.sample_overhead_lanes(ws->latch_dvth.data(), W, ws->rng_block,
+        latch_.sample_overhead_lanes(ws->latch_dvth.data(), w, ws->rng_block,
                                      ws->latch_overhead.data());
-        double* row = ws->stage_delay.data() + s * W;
-        for (std::size_t j = 0; j < W; ++j) row[j] += ws->latch_overhead[j];
+        double* row = ws->stage_delay.data() + s * w;
+        for (std::size_t j = 0; j < w; ++j) row[j] += ws->latch_overhead[j];
       }
       ws->rng_block.unpack(ws->lane_rngs.data());
     }
     {
-      obs::ScopedSpan fold_span(span_fold(), static_cast<std::int64_t>(W));
-      for (std::size_t j = 0; j < W; ++j) {
+      obs::ScopedSpan fold_span(span_fold(), static_cast<std::int64_t>(w));
+      for (std::size_t j = 0; j < w; ++j) {
         double tp = 0.0;
         for (std::size_t s = 0; s < n_stages; ++s) {
-          const double sd = ws->stage_delay[s * W + j];
+          const double sd = ws->stage_delay[s * w + j];
           r.stage_stats[s].add(sd);
           tp = std::max(tp, sd);
         }
         r.tp_samples.push_back(tp);
       }
     }
-  }
-  // Scalar tail (and the whole shard when block_width == 1).
-  if (k < shard.count) c_tail.add(shard.count - k);
-  for (; k < shard.count; ++k) {
-    stats::Rng rng = shard_rng.fork(k);
-    sampler_.sample_into(rng, ws->die, ws->die_ws);
-    double tp = 0.0;
-    for (std::size_t s = 0; s < n_stages; ++s) {
-      const double comb = sta::critical_delay_sample(
-          *stages_[s], *model_, ws->die, site_maps_[s], sta_opt_, ws->sta_ws);
-      const double dvth_latch = ws->die.dvth_shared_at(latch_sites_[s]);
-      const double sd = comb + latch_.sample_overhead(dvth_latch, rng);
-      r.stage_stats[s].add(sd);
-      tp = std::max(tp, sd);
-    }
-    r.tp_samples.push_back(tp);
   }
   return r;
 }

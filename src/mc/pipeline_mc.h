@@ -21,8 +21,9 @@
 // count.
 //
 // The gate-level engine additionally runs block-vectorized: each shard
-// consumes SoA DieBlocks of exec.block_width dies (tail handled scalar)
-// through process::VariationSampler::sample_block_into and
+// consumes SoA DieBlocks of exec.block_width dies (its last block narrower
+// when the shard does not divide evenly) through
+// process::VariationSampler::sample_block_into and
 // sta::critical_delay_sample_block.  Every sample's RNG stream is keyed on
 // its shard-local index (shard_rng.fork(k)), not on draw position, and the
 // block kernels are bitwise-identical per lane to the scalar path — so for
@@ -133,8 +134,8 @@ class GateLevelMonteCarlo {
   std::size_t stage_count() const noexcept { return stages_.size(); }
 
  private:
-  /// Pooled per-shard scratch: block + scalar-tail sampling buffers, the
-  /// SoA STA arena, per-lane RNG streams and the stage-major delay block.
+  /// Pooled per-shard scratch: block sampling buffers, the SoA STA arena,
+  /// per-lane RNG streams and the stage-major delay block.
   struct ShardScratch {
     std::vector<stats::Rng> lane_rngs;
     stats::RngBlock rng_block;          // SoA lane streams for latch draws
@@ -145,9 +146,6 @@ class GateLevelMonteCarlo {
     std::vector<sta::StaBlockWorkspace> sta_block;  // one per stage, so each
                                                     // stays bound to its stage
     std::vector<double> stage_delay;  // [stage][lane], stage-major
-    process::DieSample die;           // scalar tail
-    process::DieWorkspace die_ws;
-    sta::StaWorkspace sta_ws;
   };
 
   McResult run_shard(const sim::Shard& shard, const stats::Rng& root,

@@ -1,10 +1,11 @@
 #include "netlist/bench_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 namespace statpipe::netlist {
@@ -85,9 +86,14 @@ struct PendingGate {
 
 Netlist parse_bench(std::istream& in, const std::string& name) {
   Netlist nl(name);
-  std::map<std::string, GateId> defined;
+  std::unordered_map<std::string, GateId> defined;  // inputs, then gates
+  std::unordered_map<std::string, std::size_t> producer;  // gate -> pending
   std::vector<std::string> output_names;
   std::vector<PendingGate> pending;
+  auto check_new = [&](const std::string& sig, std::size_t line) {
+    if (defined.count(sig) || producer.count(sig))
+      fail(line, "duplicate definition of " + sig);
+  };
 
   std::string raw;
   std::size_t lineno = 0;
@@ -109,7 +115,7 @@ Netlist parse_bench(std::istream& in, const std::string& name) {
           strip(line.substr(paren + 1, line.size() - paren - 2));
       if (arg.empty()) fail(lineno, "empty signal name");
       if (head == "INPUT") {
-        if (defined.count(arg)) fail(lineno, "duplicate definition of " + arg);
+        check_new(arg, lineno);
         defined[arg] = nl.add_input(arg);
       } else if (head == "OUTPUT") {
         output_names.push_back(arg);
@@ -146,45 +152,61 @@ Netlist parse_bench(std::istream& in, const std::string& name) {
       fanins.push_back(tok);
     }
     if (fanins.empty()) fail(lineno, "gate with no fanins");
+    check_new(lhs, lineno);
+    producer[lhs] = pending.size();
     pending.push_back({lhs, kind, std::move(fanins), lineno});
   }
 
   // Resolve gates in dependency order (bench files may reference forward).
-  std::size_t remaining = pending.size();
-  std::vector<bool> done(pending.size(), false);
-  while (remaining > 0) {
-    bool progress = false;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (done[i]) continue;
-      const auto& pg = pending[i];
-      std::vector<GateId> ids;
-      ids.reserve(pg.fanins.size());
-      bool ok = true;
-      for (const auto& f : pg.fanins) {
-        auto it = defined.find(f);
-        if (it == defined.end()) {
-          ok = false;
-          break;
-        }
-        ids.push_back(it->second);
-      }
-      if (!ok) continue;
-      if (defined.count(pg.name))
-        fail(pg.line, "duplicate definition of " + pg.name);
-      const auto kind = widen(pg.kind, ids.size(), pg.line);
-      defined[pg.name] = nl.add_gate(pg.name, kind, ids);
-      done[i] = true;
-      --remaining;
-      progress = true;
+  // Gate ids follow a pass-by-pass scan of the file — pass-major, file
+  // order within a pass — where gate i resolves in pass
+  //   pass(i) = max(1, max over gate fanins f of pass(f) + [f > i]),
+  // since a fanin defined later in the file only exists from the next pass
+  // on.  One topological sweep computes every pass and a counting sort
+  // orders the gates: O(gates + edges).
+  const std::size_t n = pending.size();
+  std::vector<std::size_t> pass(n, 1), waiting(n, 0);
+  std::vector<std::vector<std::size_t>> consumers(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const auto& f : pending[i].fanins) {
+      if (defined.count(f)) continue;  // a primary input
+      const auto it = producer.find(f);
+      // An undefined fanin keeps its gate waiting forever.
+      if (it != producer.end()) consumers[it->second].push_back(i);
+      ++waiting[i];
     }
-    if (!progress) {
-      // Either an undefined signal or a combinational cycle.
-      for (std::size_t i = 0; i < pending.size(); ++i)
-        if (!done[i])
-          fail(pending[i].line, "undefined signal or cycle involving '" +
-                                    pending[i].name + "'");
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i)
+    if (waiting[i] == 0) ready.push_back(i);
+  std::size_t max_pass = 1;
+  for (std::size_t r = 0; r < ready.size(); ++r) {
+    const std::size_t p = ready[r];
+    max_pass = std::max(max_pass, pass[p]);
+    for (std::size_t c : consumers[p]) {
+      pass[c] = std::max(pass[c], pass[p] + (p > c ? 1 : 0));
+      if (--waiting[c] == 0) ready.push_back(c);
     }
   }
+  std::vector<std::size_t> slot(max_pass + 2, 0);
+  for (std::size_t p : ready) ++slot[pass[p] + 1];
+  for (std::size_t k = 1; k < slot.size(); ++k) slot[k] += slot[k - 1];
+  std::vector<std::size_t> order(ready.size());
+  for (std::size_t i = 0; i < n; ++i)
+    if (waiting[i] == 0) order[slot[pass[i]]++] = i;
+
+  for (std::size_t i : order) {
+    const auto& pg = pending[i];
+    std::vector<GateId> ids;
+    ids.reserve(pg.fanins.size());
+    for (const auto& f : pg.fanins) ids.push_back(defined.at(f));
+    const auto kind = widen(pg.kind, ids.size(), pg.line);
+    defined[pg.name] = nl.add_gate(pg.name, kind, ids);
+  }
+  // Either an undefined signal or a combinational cycle.
+  for (std::size_t i = 0; i < n; ++i)
+    if (waiting[i] != 0)
+      fail(pending[i].line, "undefined signal or cycle involving '" +
+                                pending[i].name + "'");
 
   for (const auto& on : output_names) {
     auto it = defined.find(on);

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "dist/cluster.h"
-#include "dist/coordinator.h"
 #include "dist/hmac.h"
 #include "dist/serialize.h"
 #include "dist/task.h"
@@ -105,15 +105,16 @@ pid_t spawn_saboteur_process(std::uint16_t port, const std::string& mode,
   return rc == 0 ? pid : -1;
 }
 
-// Reaps a spawned worker while draining the coordinator's listener
-// backlog, so a worker that connected only after the run completed is
-// dismissed with kShutdown instead of hanging in its setup read.
-void reap(sp::dist::Coordinator& coord, pid_t pid, int expect_status = 0) {
+// Reaps a spawned worker after handle.close() while draining the
+// listener backlog, so a worker that connected only after the run
+// completed is dismissed with kShutdown instead of hanging in its setup
+// read.
+void reap(sp::dist::ClusterHandle& handle, pid_t pid, int expect_status = 0) {
   if (pid < 0) return;
   int status = 0;
   pid_t got;
   while ((got = ::waitpid(pid, &status, WNOHANG)) == 0) {
-    coord.drain_backlog();
+    handle.drain_backlog();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_EQ(got, pid);
@@ -356,16 +357,19 @@ TEST(DistEngine, ShardRangeValidatesUpFront) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------------- coordinator/CLI
+// ---------------------------------------------------- cluster handle/CLI
 
-TEST(DistCoordinator, ValidatesRangeSizeUpFront) {
+TEST(DistClusterHandle, ValidatesRangeSizeAtSubmit) {
   auto desc = small_descriptor("c432", 1024, 128);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 9;  // more than the plan holds
-  EXPECT_THROW(sp::dist::Coordinator(desc, opt), std::invalid_argument);
-  opt.units_per_range = 0;
-  opt.max_attempts = 0;
-  EXPECT_THROW(sp::dist::Coordinator(desc, opt), std::invalid_argument);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 9;  // more than the plan holds
+  {
+    sp::dist::ClusterHandle handle(opt);
+    EXPECT_THROW((void)handle.submit(desc), std::invalid_argument);
+  }
+  opt.service.units_per_range = 0;
+  opt.service.max_attempts = 0;
+  EXPECT_THROW(sp::dist::ClusterHandle{opt}, std::invalid_argument);
 }
 
 // The acceptance contract: a c3540-class run split across TWO worker
@@ -373,16 +377,17 @@ TEST(DistCoordinator, ValidatesRangeSizeUpFront) {
 // single-process, single-thread run at the same seed.
 TEST(DistEndToEnd, TwoWorkerProcessesMatchLocalBitwise) {
   const auto desc = small_descriptor("c3540", 1024, 128);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;  // 4 assignments across 2 workers
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;  // 4 assignments across 2 workers
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const pid_t w2 = spawn_worker_process(coord.port());
-  const sp::mc::McResult dist_result = coord.run().mc;
-  reap(coord, w1);
-  reap(coord, w2);
+  const pid_t w1 = spawn_worker_process(handle.port());
+  const pid_t w2 = spawn_worker_process(handle.port());
+  const sp::mc::McResult dist_result = handle.submit(desc).mc;
+  handle.close();
+  reap(handle, w1);
+  reap(handle, w2);
 
   // Single-process, single-thread reference.
   const auto wl = sp::dist::Workload::make(desc);
@@ -400,15 +405,16 @@ TEST(DistEndToEnd, FieldOnTwoWorkerRunMatchesLocalTaskBitwise) {
   auto desc = small_descriptor("c3540,c432", 1024, 128);  // 8 shards
   desc.sigma_vth_systematic = 0.010;
   sp::dist::finalize_descriptor(desc);
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const pid_t w2 = spawn_worker_process(coord.port());
-  const sp::mc::McResult dist_result = coord.run().mc;
-  reap(coord, w1);
-  reap(coord, w2);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
+  const pid_t w1 = spawn_worker_process(handle.port());
+  const pid_t w2 = spawn_worker_process(handle.port());
+  const sp::mc::McResult dist_result = handle.submit(desc).mc;
+  handle.close();
+  reap(handle, w1);
+  reap(handle, w2);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result,
                                       sp::dist::run_local_task(desc).mc));
   EXPECT_EQ(dist_result.tp_samples.size(), desc.n_samples);
@@ -418,34 +424,35 @@ TEST(DistEndToEnd, FieldOnTwoWorkerRunMatchesLocalTaskBitwise) {
 // run.
 TEST(DistEndToEnd, SingleWorkerProcessMatchesLocalBitwise) {
   const auto desc = small_descriptor("c432", 512, 64);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const sp::mc::McResult dist_result = coord.run().mc;
-  reap(coord, w1);
+  sp::dist::ClusterOptions opt;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
+  const pid_t w1 = spawn_worker_process(handle.port());
+  const sp::mc::McResult dist_result = handle.submit(desc).mc;
+  handle.close();
+  reap(handle, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
 // Worker failure: a fake worker handshakes, takes an assignment, and dies.
-// The coordinator reassigns the forfeited range to a healthy process and
-// the merged result is still bitwise-identical.  The coordinator runs on a
+// The service reassigns the forfeited range to a healthy process and the
+// merged result is still bitwise-identical.  The submission runs on a
 // thread so the failure can be sequenced deterministically BEFORE the
 // healthy worker exists.
 TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
   const auto desc = small_descriptor("c432", 1024, 128);
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
 
   sp::mc::McResult dist_result;
-  std::thread serving([&] { dist_result = coord.run().mc; });
+  std::thread serving([&] { dist_result = handle.submit(desc).mc; });
 
   // Saboteur (inline): hello, read setup, accept one assignment, vanish
   // without producing it.
   {
-    auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+    auto sock = sp::dist::connect_to("127.0.0.1", handle.port());
     sp::dist::ByteWriter hello;
     hello.u16(sp::dist::kWireVersion);
     hello.u64(1);
@@ -459,9 +466,10 @@ TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
     sock.close();  // forfeits the range
   }
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(handle.port());
   serving.join();
-  reap(coord, w1);
+  handle.close();
+  reap(handle, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
@@ -469,24 +477,25 @@ TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
 // nothing; the run completes on the healthy worker that arrives after.
 TEST(DistEndToEnd, WorkloadRejectionIsReportedNotFatal) {
   const auto desc = small_descriptor("c432", 256, 64);
-  sp::dist::CoordinatorOptions opt;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
 
   sp::mc::McResult dist_result;
-  std::thread serving([&] { dist_result = coord.run().mc; });
+  std::thread serving([&] { dist_result = handle.submit(desc).mc; });
 
   sp::dist::WorkerOptions wopt;
-  wopt.port = coord.port();
+  wopt.port = handle.port();
   const std::size_t done = sp::dist::run_worker(
       wopt, [](const sp::dist::RunDescriptor&) -> sp::dist::UnitRangeRunner {
         throw std::invalid_argument("injected workload failure");
       });
   EXPECT_EQ(done, 0u);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(handle.port());
   serving.join();
-  reap(coord, w1);
+  handle.close();
+  reap(handle, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
@@ -640,16 +649,17 @@ TEST(DistCluster, WorkloadNameForVerifiesStructure) {
 // configs.
 TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
   const auto desc = grid_descriptor("c432", 6);
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;  // 3 assignments across 2 workers
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;  // 3 assignments across 2 workers
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const pid_t w2 = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
-  reap(coord, w2);
+  const pid_t w1 = spawn_worker_process(handle.port());
+  const pid_t w2 = spawn_worker_process(handle.port());
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, w1);
+  reap(handle, w2);
 
   ASSERT_EQ(dist_result.kind, sp::dist::TaskKind::kSstaGrid);
   ASSERT_EQ(dist_result.lanes.size(), desc.size_grid.size());
@@ -678,12 +688,13 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
   auto desc = grid_descriptor("c432", 4);
   sp::dist::set_descriptor_technology(desc, tech);
 
-  sp::dist::CoordinatorOptions opt;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
+  sp::dist::ClusterOptions opt;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
+  const pid_t w1 = spawn_worker_process(handle.port());
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, w1);
 
   const sp::device::AlphaPowerModel model{tech};
   const auto nl = sp::netlist::iscas_like("c432");
@@ -706,16 +717,16 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
 // the reassigned reassembly is still bitwise-identical.
 TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
   const auto desc = grid_descriptor("c432", 8);
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
 
   sp::dist::TaskResult dist_result;
-  std::thread serving([&] { dist_result = coord.run(); });
+  std::thread serving([&] { dist_result = handle.submit(desc); });
 
   {
-    auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+    auto sock = sp::dist::connect_to("127.0.0.1", handle.port());
     sp::dist::ByteWriter hello;
     hello.u16(sp::dist::kWireVersion);
     hello.u64(1);
@@ -729,9 +740,10 @@ TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
     sock.close();  // forfeits the lane range
   }
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(handle.port());
   serving.join();
-  reap(coord, w1);
+  handle.close();
+  reap(handle, w1);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -753,7 +765,7 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   sp::netlist::Netlist nl_local = sp::netlist::iscas_like("c432");
   const auto local = sp::opt::area_delay_sweep(nl_local, model, spec, sw);
 
-  // Cluster-backed sweep: the hook runs one coordinator session per grid,
+  // Cluster-backed sweep: the hook hosts one fresh handle per grid,
   // sabotaged by a fake worker that takes a range and dies before two
   // healthy worker processes finish the job.
   sw.grid = [](const sp::netlist::Netlist& nl,
@@ -770,15 +782,15 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
     d.output_load = sopt.output_load;
     sp::dist::finalize_descriptor(d);
 
-    sp::dist::CoordinatorOptions copt;
-    copt.units_per_range = 2;
-    copt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(d, copt);
+    sp::dist::ClusterOptions copt;
+    copt.service.units_per_range = 2;
+    copt.service.idle_timeout_ms = 120000;
+    sp::dist::ClusterHandle handle(copt);
 
     sp::dist::TaskResult res;
-    std::thread serving([&] { res = coord.run(); });
+    std::thread serving([&] { res = handle.submit(d); });
     {
-      auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+      auto sock = sp::dist::connect_to("127.0.0.1", handle.port());
       sp::dist::ByteWriter hello;
       hello.u16(sp::dist::kWireVersion);
       hello.u64(1);
@@ -791,11 +803,12 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
       EXPECT_TRUE(assign && assign->type == sp::dist::MsgType::kAssign);
       sock.close();  // forfeits the range
     }
-    const pid_t w1 = spawn_worker_process(coord.port());
-    const pid_t w2 = spawn_worker_process(coord.port());
+    const pid_t w1 = spawn_worker_process(handle.port());
+    const pid_t w2 = spawn_worker_process(handle.port());
     serving.join();
-    reap(coord, w1);
-    reap(coord, w2);
+    handle.close();
+    reap(handle, w1);
+    reap(handle, w2);
     return res.lanes;
   };
   sp::netlist::Netlist nl_dist = sp::netlist::iscas_like("c432");
@@ -807,8 +820,9 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   EXPECT_EQ(nl_dist.sizes(), nl_local.sizes());
 }
 
-// The public cluster API end to end: grid_characterizer + run_cluster
-// spawn-and-reap their own localhost fleet and match the local sweep.
+// The public cluster API end to end: grid_characterizer over a handle that
+// spawns and reaps its own resident localhost fleet matches the local
+// sweep.
 TEST(DistEndToEnd, ClusterGridCharacterizerMatchesLocalSweep) {
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   sp::process::VariationSpec spec;
@@ -821,12 +835,14 @@ TEST(DistEndToEnd, ClusterGridCharacterizerMatchesLocalSweep) {
   const auto local = sp::opt::area_delay_sweep(nl_local, model, spec, sw);
 
   sp::dist::ClusterOptions cl;
-  cl.coordinator.idle_timeout_ms = 120000;
+  cl.service.idle_timeout_ms = 120000;
   cl.spawn_workers = 2;
   cl.worker_bin = STATPIPE_WORKER_BIN;
-  sw.grid = sp::dist::grid_characterizer(cl);
+  auto handle = std::make_shared<sp::dist::ClusterHandle>(cl);
+  sw.grid = sp::dist::grid_characterizer(handle);
   sp::netlist::Netlist nl_dist = sp::netlist::iscas_like("c880");
   const auto dist_sweep = sp::opt::area_delay_sweep(nl_dist, model, spec, sw);
+  handle->close();
 
   EXPECT_TRUE(sp::opt::bitwise_equal(dist_sweep, local));
 }
@@ -1235,20 +1251,22 @@ TEST(DistFaultMatrix, ByteExactDisconnectsAlwaysReassign) {
                                  hello_bytes + 120};
   for (const std::size_t budget : budgets) {
     SCOPED_TRACE("send budget " + std::to_string(budget));
-    sp::dist::CoordinatorOptions opt;
-    opt.units_per_range = 2;
-    opt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::ClusterOptions opt;
+    opt.service.units_per_range = 2;
+    opt.service.idle_timeout_ms = 120000;
+    sp::dist::ClusterHandle handle(opt);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = handle.submit(desc); });
     sp::dist::testing::FaultPlan plan;
     plan.send_byte_budget = budget;
-    std::thread faulty([&, port = coord.port()] { faulty_worker(port, plan); });
+    std::thread faulty(
+        [&, port = handle.port()] { faulty_worker(port, plan); });
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    const pid_t w = spawn_worker_process(coord.port());
+    const pid_t w = spawn_worker_process(handle.port());
     serving.join();
+    handle.close();
     faulty.join();
-    reap(coord, w);
+    reap(handle, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1257,17 +1275,18 @@ TEST(DistFaultMatrix, ByteExactDisconnectsAlwaysReassign) {
 // nothing: the run completes bitwise-identical through 3-byte chunks.
 TEST(DistFaultMatrix, ChunkedAndDelayedIoStaysBitwise) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 3;
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 3;
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
   sp::dist::TaskResult dist_result;
-  std::thread serving([&] { dist_result = coord.run(); });
+  std::thread serving([&] { dist_result = handle.submit(desc); });
   sp::dist::testing::FaultPlan plan;
   plan.max_chunk = 3;
   plan.delay_us_per_chunk = 50;
-  std::thread chunked([&, port = coord.port()] { faulty_worker(port, plan); });
+  std::thread chunked([&, port = handle.port()] { faulty_worker(port, plan); });
   serving.join();
+  handle.close();
   chunked.join();
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
@@ -1278,51 +1297,54 @@ TEST(DistFaultMatrix, ChunkedAndDelayedIoStaysBitwise) {
 TEST(DistEndToEnd, AuthenticatedTwoWorkerRunMatchesLocalBitwise) {
   const std::string key = "e2e-wire-key";
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  opt.auth_key = key;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port(), key);
-  const pid_t w2 = spawn_worker_process(coord.port(), key);
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
-  reap(coord, w2);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  opt.service.auth_key = key;
+  sp::dist::ClusterHandle handle(opt);
+  const pid_t w1 = spawn_worker_process(handle.port(), key);
+  const pid_t w2 = spawn_worker_process(handle.port(), key);
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, w1);
+  reap(handle, w2);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
 
 TEST(DistEndToEnd, MismatchedKeyWorkerIsRejectedAndRunStillCompletes) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  opt.auth_key = "right-key";
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  opt.service.auth_key = "right-key";
+  sp::dist::ClusterHandle handle(opt);
   // The wrong-key worker's hello fails MAC verification at admission; it
   // sees the connection close and exits 1 ("coordinator sent no setup").
-  const pid_t bad = spawn_worker_process(coord.port(), "wrong-key");
-  const pid_t good = spawn_worker_process(coord.port(), "right-key");
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, bad, 1);
-  reap(coord, good);
+  const pid_t bad = spawn_worker_process(handle.port(), "wrong-key");
+  const pid_t good = spawn_worker_process(handle.port(), "right-key");
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, bad, 1);
+  reap(handle, good);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
 
-TEST(DistEndToEnd, AuthenticatedWorkerAgainstPlainCoordinatorIsRejected) {
+TEST(DistEndToEnd, AuthenticatedWorkerAgainstPlainServiceIsRejected) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;  // no auth_key: plain wire
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;  // no auth_key: plain wire
+  sp::dist::ClusterHandle handle(opt);
   // Symmetric strictness: an authenticated hello at a keyless coordinator
   // is a loud config mismatch, not an ignored trailer.
-  const pid_t keyed = spawn_worker_process(coord.port(), "stray-key");
-  const pid_t plain = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, keyed, 1);
-  reap(coord, plain);
+  const pid_t keyed = spawn_worker_process(handle.port(), "stray-key");
+  const pid_t plain = spawn_worker_process(handle.port());
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, keyed, 1);
+  reap(handle, plain);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -1334,13 +1356,14 @@ TEST(DistEndToEnd, AuthenticatedWorkerAgainstPlainCoordinatorIsRejected) {
 // the bounded accumulator — bitwise-identical to the local run.
 TEST(DistEndToEnd, LargeStreamedRangeSingleWorkerMatchesLocalBitwise) {
   const auto desc = small_descriptor("c432", 4096, 64);  // 64 units
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 64;  // a single streamed assignment
-  opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 64;  // a single streamed assignment
+  opt.service.idle_timeout_ms = 120000;
+  sp::dist::ClusterHandle handle(opt);
+  const pid_t w = spawn_worker_process(handle.port());
+  const sp::dist::TaskResult dist_result = handle.submit(desc);
+  handle.close();
+  reap(handle, w);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -1360,19 +1383,20 @@ TEST(DistChaos, SaboteurMatrixOnPlainWireNeverPoisonsTheRun) {
                          "garbage",  "dup-unit", "replay"};
   for (const char* mode : modes) {
     SCOPED_TRACE(mode);
-    sp::dist::CoordinatorOptions opt;
-    opt.units_per_range = 2;
-    opt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::ClusterOptions opt;
+    opt.service.units_per_range = 2;
+    opt.service.idle_timeout_ms = 120000;
+    sp::dist::ClusterHandle handle(opt);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = handle.submit(desc); });
     // Saboteur first, so it wins a range assignment to attack with.
-    const pid_t sab = spawn_saboteur_process(coord.port(), mode);
+    const pid_t sab = spawn_saboteur_process(handle.port(), mode);
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const pid_t w = spawn_worker_process(coord.port());
+    const pid_t w = spawn_worker_process(handle.port());
     serving.join();
-    reap(coord, sab);
-    reap(coord, w);
+    handle.close();
+    reap(handle, sab);
+    reap(handle, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1384,21 +1408,22 @@ TEST(DistChaos, AuthenticatedWireRejectsTamperedAndUnauthenticatedPeers) {
   const char* modes[] = {"tampered-hmac", "unauthenticated"};
   for (const char* mode : modes) {
     SCOPED_TRACE(mode);
-    sp::dist::CoordinatorOptions opt;
-    opt.units_per_range = 2;
-    opt.idle_timeout_ms = 120000;
-    opt.auth_key = key;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::ClusterOptions opt;
+    opt.service.units_per_range = 2;
+    opt.service.idle_timeout_ms = 120000;
+    opt.service.auth_key = key;
+    sp::dist::ClusterHandle handle(opt);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = handle.submit(desc); });
     const bool sab_has_key = std::string(mode) == "tampered-hmac";
-    const pid_t sab = spawn_saboteur_process(coord.port(), mode,
+    const pid_t sab = spawn_saboteur_process(handle.port(), mode,
                                              sab_has_key ? key : "");
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const pid_t w = spawn_worker_process(coord.port(), key);
+    const pid_t w = spawn_worker_process(handle.port(), key);
     serving.join();
-    reap(coord, sab);
-    reap(coord, w);
+    handle.close();
+    reap(handle, sab);
+    reap(handle, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1409,20 +1434,21 @@ TEST(DistChaos, AuthenticatedWireRejectsTamperedAndUnauthenticatedPeers) {
 // instead of wedging on the silent connection.
 TEST(DistChaos, StalledPeerForfeitsRangeViaReadDeadline) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
-  opt.units_per_range = 2;
-  opt.idle_timeout_ms = 120000;
-  opt.read_deadline_ms = 1500;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::ClusterOptions opt;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  opt.service.read_deadline_ms = 1500;
+  sp::dist::ClusterHandle handle(opt);
   sp::dist::TaskResult dist_result;
   const auto t0 = std::chrono::steady_clock::now();
-  std::thread serving([&] { dist_result = coord.run(); });
-  const pid_t sab = spawn_saboteur_process(coord.port(), "stall");
+  std::thread serving([&] { dist_result = handle.submit(desc); });
+  const pid_t sab = spawn_saboteur_process(handle.port(), "stall");
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  const pid_t w = spawn_worker_process(coord.port());
+  const pid_t w = spawn_worker_process(handle.port());
   serving.join();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  reap(coord, w);
+  handle.close();
+  reap(handle, w);
   // The stalled saboteur holds its connection open until killed.
   ::kill(sab, SIGKILL);
   int status = 0;

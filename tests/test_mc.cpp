@@ -3,6 +3,7 @@
 // gate granularity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -192,8 +193,9 @@ TEST(GateMc, BlockWidthAndThreadCountInvariant) {
   // The block-vectorized path contract: for a given seed, every
   // (block_width, threads) combination in {1,8,16} x {1,2,8} produces a
   // bitwise-identical McResult.  1000 samples over 128-sample shards leaves
-  // a 104-sample final shard, so full blocks, partial-block boundaries and
-  // the scalar tail are all exercised at every width.
+  // a 104-sample final shard, so full blocks and a narrower last block are
+  // both exercised at every width.  (The scalar oracle below pins width 1
+  // itself to the scalar APIs.)
   GateLevelFixture f(3, 6);
   const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
   sp::mc::GateLevelMonteCarlo mc(f.views(), f.model, spec, f.latch);
@@ -226,6 +228,95 @@ TEST(GateMc, BlockWidthAndThreadCountInvariant) {
         EXPECT_EQ(ref.stage_stats[s].min(), r.stage_stats[s].min());
         EXPECT_EQ(ref.stage_stats[s].max(), r.stage_stats[s].max());
       }
+    }
+  }
+}
+
+TEST(GateMc, BlockPathMatchesScalarOracleBitwise) {
+  // The engine has one block loop (its last block per shard narrower); the
+  // scalar sampling/STA/latch APIs survive as this oracle.  Replay the
+  // engine's documented streams by hand — run key rng.fork(), shard
+  // stream fork(shard), sample stream fork(k): die draws, then one latch
+  // draw per stage — and fold shards in ascending order.  333 samples over
+  // 100-sample shards: every shard ends in a partial block at width 8 and
+  // max_width(), and the last shard (33) is itself partial.  Field on.
+  GateLevelFixture f(3, 6);
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  sp::mc::GateLevelMonteCarlo mc(f.views(), f.model, spec, f.latch);
+  constexpr std::size_t kSamples = 333;
+  constexpr std::size_t kPerShard = 100;
+  constexpr std::uint64_t kSeed = 27182;
+
+  // The engine's die layout: stage s's gates at (s + position) / N, then
+  // the stage's capture latch at its right edge (s + 1) / N.
+  const std::size_t n_stages = f.stages.size();
+  std::vector<double> positions;
+  std::vector<std::vector<std::size_t>> site_maps(n_stages);
+  std::vector<std::size_t> latch_sites;
+  for (std::size_t s = 0; s < n_stages; ++s) {
+    for (std::size_t g = 0; g < f.stages[s].size(); ++g) {
+      site_maps[s].push_back(positions.size());
+      positions.push_back((static_cast<double>(s) +
+                           f.stages[s].gate(g).position) /
+                          static_cast<double>(n_stages));
+    }
+    latch_sites.push_back(positions.size());
+    positions.push_back(static_cast<double>(s + 1) /
+                        static_cast<double>(n_stages));
+  }
+  const sp::process::VariationSampler sampler(f.model.technology(), spec,
+                                              positions);
+
+  sp::stats::Rng seed_rng(kSeed);
+  const sp::stats::Rng root = seed_rng.fork();
+  sp::process::DieSample die;
+  sp::process::DieWorkspace die_ws;
+  sp::sta::StaWorkspace sta_ws;
+  sp::mc::McResult oracle;
+  for (const sp::sim::Shard& shard :
+       sp::sim::plan_shards(kSamples, kPerShard)) {
+    const sp::stats::Rng shard_rng = root.fork(shard.index);
+    sp::mc::McResult part;
+    part.stage_stats.resize(n_stages);
+    for (std::size_t k = 0; k < shard.count; ++k) {
+      sp::stats::Rng rng = shard_rng.fork(k);
+      sampler.sample_into(rng, die, die_ws);
+      double tp = 0.0;
+      for (std::size_t s = 0; s < n_stages; ++s) {
+        const double sd =
+            sp::sta::critical_delay_sample(f.stages[s], f.model, die,
+                                           site_maps[s], {}, sta_ws) +
+            f.latch.sample_overhead(die.dvth_shared_at(latch_sites[s]), rng);
+        part.stage_stats[s].add(sd);
+        tp = std::max(tp, sd);
+      }
+      part.tp_samples.push_back(tp);
+    }
+    if (shard.index == 0)
+      oracle = std::move(part);
+    else
+      oracle.merge(std::move(part));
+  }
+  ASSERT_EQ(oracle.tp_samples.size(), kSamples);
+
+  for (const std::size_t width :
+       {std::size_t{1}, std::size_t{8}, sp::stats::lanes::max_width()}) {
+    sp::sim::ExecutionOptions exec;
+    exec.block_width = width;
+    exec.samples_per_shard = kPerShard;
+    sp::stats::Rng rng(kSeed);
+    const auto r = mc.run(kSamples, rng, exec);
+    ASSERT_EQ(r.tp_samples.size(), kSamples);
+    for (std::size_t i = 0; i < kSamples; ++i)
+      ASSERT_EQ(oracle.tp_samples[i], r.tp_samples[i])
+          << "width " << width << " sample " << i;
+    for (std::size_t s = 0; s < n_stages; ++s) {
+      EXPECT_EQ(oracle.stage_stats[s].count(), r.stage_stats[s].count());
+      EXPECT_EQ(oracle.stage_stats[s].mean(), r.stage_stats[s].mean());
+      EXPECT_EQ(oracle.stage_stats[s].variance(),
+                r.stage_stats[s].variance());
+      EXPECT_EQ(oracle.stage_stats[s].min(), r.stage_stats[s].min());
+      EXPECT_EQ(oracle.stage_stats[s].max(), r.stage_stats[s].max());
     }
   }
 }

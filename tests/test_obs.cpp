@@ -280,7 +280,7 @@ TEST_F(ObsTest, EnabledDisabledBitwiseInvarianceMatrix) {
 }
 
 // Process-count leg of the matrix: a 2-worker cluster run with telemetry
-// fully enabled on the coordinator side reassembles to the exact bytes of
+// fully enabled on the service side reassembles to the exact bytes of
 // both the local reference and a telemetry-off cluster run.  Also checks
 // the always-on RunMetrics accounting a healthy run must report.
 TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
@@ -290,17 +290,24 @@ TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
   sp::dist::ClusterOptions opt;
   opt.spawn_workers = 2;
   opt.worker_bin = STATPIPE_WORKER_BIN;
-  opt.coordinator.units_per_range = 2;
-  opt.coordinator.idle_timeout_ms = 120000;
+  opt.service.units_per_range = 2;
+  opt.service.idle_timeout_ms = 120000;
+  // One fresh handle (fleet, empty result cache) per leg.
+  auto run_leg = [&](sp::dist::RunMetrics& rm) {
+    sp::dist::ClusterHandle handle(opt);
+    sp::dist::TaskResult r = handle.submit(desc, 0, &rm);
+    handle.close();
+    return r;
+  };
 
   sp::obs::set_enabled(false);
   sp::dist::RunMetrics rm_off;
-  const sp::dist::TaskResult off = sp::dist::run_cluster(desc, opt, &rm_off);
+  const sp::dist::TaskResult off = run_leg(rm_off);
 
   sp::obs::set_enabled(true);
   sp::obs::reset();
   sp::dist::RunMetrics rm_on;
-  const sp::dist::TaskResult on = sp::dist::run_cluster(desc, opt, &rm_on);
+  const sp::dist::TaskResult on = run_leg(rm_on);
   const auto snap = sp::obs::snapshot();
   sp::obs::set_enabled(false);
 
@@ -320,7 +327,7 @@ TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
     EXPECT_GE(rm->peak_staged_units, 1u);
     EXPECT_GT(rm->wall_ms, 0.0);
   }
-  // The obs layer saw the coordinator's traffic in the enabled leg.
+  // The obs layer saw the service's traffic in the enabled leg.
   EXPECT_EQ(snap.counter("dist.commits"), 4u);
   EXPECT_EQ(snap.counter("dist.units_committed"), 8u);
   EXPECT_EQ(snap.span("dist.range").count, 4u);

@@ -534,7 +534,7 @@ TEST(ClusterHandleTest, ResidentFleetServesManyDescriptorsAndCaches) {
   sp::dist::ClusterOptions cl;
   cl.spawn_workers = 2;
   cl.worker_bin = STATPIPE_WORKER_BIN;
-  cl.coordinator.units_per_range = 2;
+  cl.service.units_per_range = 2;
   sp::dist::ClusterHandle handle(cl);
 
   const auto d_mc = mc_descriptor();
@@ -578,7 +578,7 @@ TEST(ClusterHandleTest, FinishedRequestsLeaveTheScheduler) {
   sp::dist::ClusterOptions cl;
   cl.spawn_workers = 1;
   cl.worker_bin = STATPIPE_WORKER_BIN;
-  cl.coordinator.units_per_range = 1;
+  cl.service.units_per_range = 1;
   sp::dist::ClusterHandle handle(cl);
   const std::vector<sp::dist::RunDescriptor> burst{
       mc_descriptor(1, 128, 32), mc_descriptor(2, 128, 32),

@@ -1,8 +1,10 @@
-// statpipe-run — distributed task coordinator entry point.
+// statpipe-run — distributed task entry point.
 //
-// Plans a distributed task, serves unit ranges to statpipe-worker
-// processes over TCP, reassembles their per-unit results in ascending
-// unit order, and prints a summary.  Two task kinds:
+// Hosts a dist::ClusterHandle (or, with --connect, joins a running
+// service as a client), submits one distributed task, and prints a
+// summary: statpipe-worker processes run the unit ranges over TCP and the
+// service reassembles their per-unit results in ascending unit order.
+// Two task kinds:
 //
 //   --task mc          (default) gate-level Monte-Carlo: units are sim
 //                      shards, the merged result is the yield estimate.
@@ -27,33 +29,29 @@
 // enables the HMAC-SHA256 frame trailer on every wire frame; workers must
 // hold the same key (spawned workers inherit it automatically).
 //
-// --spawn N forks N local statpipe-worker processes pointed at the bound
-// port (default worker binary: ./statpipe-worker next to this one) — the
-// one-command localhost cluster.  Without --spawn, start workers yourself
-// against the printed port.  Wire format: docs/WIRE_FORMAT.md; bitwise
-// contract: docs/DETERMINISM.md.
+// --spawn N forks N local statpipe-worker processes (in --serve reconnect
+// mode) pointed at the bound port (default worker binary: ./statpipe-worker
+// next to this one) — the one-command localhost cluster.  Without --spawn,
+// start workers yourself against the printed port.  Wire format:
+// docs/WIRE_FORMAT.md; bitwise contract: docs/DETERMINISM.md.
 //
-// SERVICE MODE (wire v4): --serve hosts a persistent multi-tenant service
-// instead of running one task — resident workers (--spawn N forks them in
-// --serve reconnect mode), many concurrent client sessions, fair-share
-// scheduling and a content-addressed result cache.  --serve-requests N
-// exits after N requests completed (CI's bounded service leg); without it
-// the service runs until killed.  --connect HOST:PORT turns this binary
-// into a CLIENT of such a service: the same --task/--workload flags
-// describe the run, but it is submitted over the wire and the result
-// (with cache/queue accounting) comes back on this session.
-#include <sys/wait.h>
-#include <unistd.h>
-
+// SERVICE MODE (wire v4): --serve hosts the same service for remote
+// clients instead of running one task — resident workers, many concurrent
+// client sessions, fair-share scheduling and a content-addressed result
+// cache.  --serve-requests N exits after N requests completed (CI's
+// bounded service leg); without it the service runs until killed.
+// --connect HOST:PORT turns this binary into a CLIENT of such a service:
+// the same --task/--workload flags describe the run, but it is submitted
+// over the wire and the result (with cache/queue accounting) comes back on
+// this session.  --priority sets the scheduler priority of this
+// invocation's requests either way.
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "dist/cluster.h"
 #include "dist/task.h"
@@ -67,17 +65,17 @@ namespace {
 
 namespace sp = statpipe;
 
-// Per-run dist accounting, printed unconditionally after every completed
-// run: RunMetrics is always-on coordinator state, so the block costs
-// nothing extra and needs no telemetry (obs counters stay disabled unless
-// --metrics / STATPIPE_TRACE turned them on).
-void print_dist_metrics(const sp::dist::RunMetrics& m, std::size_t sessions) {
+// Per-run dist accounting of a self-hosted run, printed unconditionally:
+// RunMetrics is always-on service state, so the block costs nothing extra
+// and needs no telemetry (obs counters stay disabled unless --metrics /
+// STATPIPE_TRACE turned them on).
+void print_dist_metrics(const sp::dist::RunMetrics& m, std::size_t requests) {
   std::printf(
       "dist metrics%s: %zu unit(s) in %zu range(s), %zu assign(s) "
       "(%zu retried), %zu commit(s), %zu forfeit(s) (%zu unit(s) "
       "discarded), peak staged %zu, %zu worker(s), queue wait %.1f ms, "
       "cache %zu hit(s) / %zu miss(es), wall %.1f ms\n",
-      sessions > 1 ? (" (" + std::to_string(sessions) + " sessions)").c_str()
+      requests > 1 ? (" (" + std::to_string(requests) + " requests)").c_str()
                    : "",
       m.units, m.ranges, m.assigns, m.retries, m.commits, m.forfeits,
       m.units_discarded, m.peak_staged_units, m.workers_admitted,
@@ -93,7 +91,7 @@ void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
   acc.forfeits += m.forfeits;
   acc.units_discarded += m.units_discarded;
   acc.peak_staged_units = std::max(acc.peak_staged_units, m.peak_staged_units);
-  acc.workers_admitted += m.workers_admitted;
+  acc.workers_admitted = std::max(acc.workers_admitted, m.workers_admitted);
   acc.queue_wait_ms += m.queue_wait_ms;
   acc.cache_hits += m.cache_hits;
   acc.cache_misses += m.cache_misses;
@@ -117,7 +115,7 @@ void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
       "workers, concurrent client sessions, fair-share scheduling, result\n"
       "cache.  --serve-requests N exits once N requests completed (0 =\n"
       "run until killed).  --connect submits this invocation's task to a\n"
-      "running service instead of self-hosting a coordinator.\n"
+      "running service instead of self-hosting one.\n"
       "\n"
       "--metrics PATH enables runtime telemetry (src/obs) and dumps the\n"
       "JSON metrics snapshot to PATH on success; STATPIPE_TRACE=PATH\n"
@@ -148,36 +146,39 @@ std::string sibling_worker_bin(const char* argv0) {
   return dir + "/statpipe-worker";
 }
 
-int run_mc(sp::dist::RunDescriptor& desc, const sp::dist::ClusterOptions& cl,
-           bool check_local) {
+// The submit path of this invocation: a self-hosted ClusterHandle or a
+// client session on a running service.
+using Submit =
+    std::function<sp::dist::TaskResult(const sp::dist::RunDescriptor&)>;
+
+int run_mc(sp::dist::RunDescriptor& desc, const Submit& submit,
+           const char* label, bool check_local) {
   sp::dist::finalize_descriptor(desc);
   std::printf("statpipe-run: mc, %s, %llu samples, seed %llu\n",
               desc.workload.c_str(),
               static_cast<unsigned long long>(desc.n_samples),
               static_cast<unsigned long long>(desc.seed));
-  sp::dist::RunMetrics rm;
-  const sp::dist::TaskResult dist_result = sp::dist::run_cluster(desc, cl, &rm);
-
-  const sp::stats::Gaussian g = dist_result.mc.tp_estimate();
+  const sp::dist::TaskResult result = submit(desc);
+  const sp::stats::Gaussian g = result.mc.tp_estimate();
   std::printf("T_P estimate: mu %.4f ps, sigma %.4f ps over %zu samples\n",
-              g.mean, g.sigma, dist_result.mc.tp_samples.size());
-  print_dist_metrics(rm, 1);
+              g.mean, g.sigma, result.mc.tp_samples.size());
 
   if (check_local) {
     const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
-    if (!sp::dist::bitwise_equal(dist_result, local)) {
-      std::printf("FAIL: distributed result diverges from the "
-                  "single-process run\n");
+    if (!sp::dist::bitwise_equal(result, local)) {
+      std::printf("FAIL: %s result diverges from the single-process run\n",
+                  label);
       return EXIT_FAILURE;
     }
-    std::printf("distributed result is bitwise-identical to the "
-                "single-process run\n");
+    std::printf("%s result is bitwise-identical to the single-process run\n",
+                label);
   }
   return EXIT_SUCCESS;
 }
 
 int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
-                   sp::dist::ClusterOptions cl, bool check_local) {
+                   sp::sta::GridCharacterizer grid, const char* label,
+                   bool check_local) {
   const auto names = sp::dist::split_workload_names(desc.workload);
   if (names.size() != 1) {
     std::fprintf(stderr,
@@ -189,19 +190,10 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
 
-  // One coordinator session per grid submission: aggregate their metrics
-  // so the final block covers the whole sweep.
-  sp::dist::RunMetrics agg;
-  std::size_t sessions = 0;
-  cl.on_metrics = [&](const sp::dist::RunMetrics& m) {
-    accumulate(agg, m);
-    ++sessions;
-  };
-
   sp::opt::SweepOptions sw;
   sw.points = points;
   sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer(cl);
+  sw.grid = std::move(grid);
 
   std::printf("statpipe-run: ssta-sweep, %s, %zu sweep points\n",
               desc.workload.c_str(), points);
@@ -212,7 +204,6 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
               dist_sweep.curve.points().size(), dist_sweep.min_stat_delay);
   for (const auto& p : dist_sweep.curve.points())
     std::printf("  delay %.4f ps  area %.2f\n", p.delay, p.area);
-  print_dist_metrics(agg, sessions);
 
   if (check_local) {
     sp::opt::SweepOptions local_sw = sw;
@@ -221,80 +212,27 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
     const auto local_sweep =
         sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
     if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
-      std::printf("FAIL: distributed sweep diverges from the "
-                  "single-process SstaBatch run\n");
+      std::printf("FAIL: %s sweep diverges from the single-process "
+                  "SstaBatch run\n",
+                  label);
       return EXIT_FAILURE;
     }
-    std::printf("distributed sweep is bitwise-identical to the "
-                "single-process SstaBatch run\n");
+    std::printf("%s sweep is bitwise-identical to the single-process "
+                "SstaBatch run\n",
+                label);
   }
   return EXIT_SUCCESS;
 }
 
-// --serve: host the persistent multi-tenant service.  The dist flags
-// (--port, --key, --units-per-range, ...) configure the service; --spawn N
-// forks N RESIDENT workers (statpipe-worker --serve) that outlive any
-// number of client submissions.  Exits after --serve-requests N completed
-// requests (0 = run until killed), winding the fleet down first.  Exit
-// code reflects whether any request FAILED — individual request failures
-// are reported to their clients and do not stop the service.
-int run_serve(const sp::dist::ClusterOptions& cl, std::size_t serve_requests) {
-  sp::dist::ServiceOptions so;
-  so.bind_host = cl.coordinator.bind_host;
-  so.port = cl.coordinator.port;
-  so.units_per_range = cl.coordinator.units_per_range;
-  so.max_attempts = cl.coordinator.max_attempts;
-  so.idle_timeout_ms = cl.coordinator.idle_timeout_ms;
-  so.read_deadline_ms = cl.coordinator.read_deadline_ms;
-  so.auth_key = cl.coordinator.auth_key;
-  so.cache_max_bytes = cl.cache_max_bytes;
-  so.verbose = cl.coordinator.verbose;
-
-  sp::dist::Service svc(so);
-  std::printf("statpipe-run: serving on port %u\n",
-              static_cast<unsigned>(svc.port()));
-  std::fflush(stdout);
-
-  std::vector<pid_t> kids;
-  try {
-    for (std::size_t i = 0; i < cl.spawn_workers; ++i)
-      kids.push_back(sp::dist::spawn_worker_process(
-          cl.worker_bin, svc.port(), !so.verbose, so.auth_key,
-          /*serve=*/true));
-    svc.run([&] {
-      return serve_requests != 0 &&
-             svc.requests_completed() >= serve_requests;
-    });
-  } catch (...) {
-    for (const pid_t kid : kids) ::kill(kid, SIGKILL);
-    int status = 0;
-    for (const pid_t kid : kids) ::waitpid(kid, &status, 0);
-    throw;
-  }
-
-  // Fleet wind-down: kShutdown ends resident workers (--serve exits on it,
-  // not on disconnect), then reap with a grace period — draining the
-  // backlog throughout so a worker mid-reconnect is dismissed, not hung.
-  svc.shutdown_workers();
-  for (const pid_t kid : kids) {
-    bool reaped = false;
-    for (int waited_ms = 0; waited_ms < 5000; waited_ms += 20) {
-      int status = 0;
-      if (::waitpid(kid, &status, WNOHANG) == kid) {
-        reaped = true;
-        break;
-      }
-      svc.drain_backlog();
-      ::usleep(20 * 1000);
-    }
-    if (!reaped) {
-      ::kill(kid, SIGKILL);
-      int status = 0;
-      ::waitpid(kid, &status, 0);
-    }
-  }
-
-  const sp::dist::ServiceStats st = svc.stats();
+// --serve: host the persistent multi-tenant service for remote clients
+// until --serve-requests N requests completed (0 = until killed), then
+// wind the fleet down.  Exit code reflects whether any request FAILED —
+// individual request failures are reported to their clients and do not
+// stop the service.
+int run_serve(sp::dist::ClusterHandle& handle, std::size_t serve_requests) {
+  handle.serve(serve_requests);
+  handle.close();
+  const sp::dist::ServiceStats st = handle.stats();
   std::printf(
       "service stats: %zu request(s) submitted, %zu completed (%zu "
       "failed), %zu session(s), %zu worker(s), cache %llu hit(s) / %llu "
@@ -311,111 +249,14 @@ int run_serve(const sp::dist::ClusterOptions& cl, std::size_t serve_requests) {
   return st.requests_failed == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
 }
 
-// --connect: be a CLIENT of a running service.  The same task flags
-// describe the run; it is submitted over the wire on this client's
-// session and the per-request accounting (cache hit, queue wait) comes
-// back with the result.
-int run_connect_mc(sp::dist::RunDescriptor& desc, const std::string& host,
-                   std::uint16_t port, const std::string& key,
-                   std::uint32_t priority, bool check_local) {
-  sp::dist::finalize_descriptor(desc);
-  std::printf("statpipe-run: mc via service at %s:%u, %s, %llu samples, "
-              "seed %llu\n",
-              host.c_str(), static_cast<unsigned>(port),
-              desc.workload.c_str(),
-              static_cast<unsigned long long>(desc.n_samples),
-              static_cast<unsigned long long>(desc.seed));
-  sp::dist::ServiceClient client(host, port, key);
-  const std::uint64_t id = client.submit(desc, priority);
-  const sp::dist::TaskResult result = client.wait(id);
-  const auto& info = client.info(id);
-
-  const sp::stats::Gaussian g = result.mc.tp_estimate();
-  std::printf("T_P estimate: mu %.4f ps, sigma %.4f ps over %zu samples\n",
-              g.mean, g.sigma, result.mc.tp_samples.size());
-  std::printf("service request %llu (session %llu): cache %s, queue wait "
-              "%.1f ms\n",
-              static_cast<unsigned long long>(id),
-              static_cast<unsigned long long>(client.session()),
-              info.cache_hit ? "hit" : "miss", info.queue_wait_ms);
-
-  if (check_local) {
-    const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
-    if (!sp::dist::bitwise_equal(result, local)) {
-      std::printf("FAIL: service result diverges from the single-process "
-                  "run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("service result is bitwise-identical to the "
-                "single-process run\n");
-  }
-  return EXIT_SUCCESS;
-}
-
-int run_connect_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
-                      const std::string& host, std::uint16_t port,
-                      const std::string& key, bool check_local) {
-  const auto names = sp::dist::split_workload_names(desc.workload);
-  if (names.size() != 1) {
-    std::fprintf(stderr,
-                 "statpipe-run: --task ssta-sweep needs exactly one "
-                 "circuit in --workload, got '%s'\n",
-                 desc.workload.c_str());
-    return EXIT_FAILURE;
-  }
-  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
-  const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
-
-  auto client = std::make_shared<sp::dist::ServiceClient>(host, port, key);
-  sp::opt::SweepOptions sw;
-  sw.points = points;
-  sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer(client);
-
-  std::printf("statpipe-run: ssta-sweep via service at %s:%u, %s, %zu "
-              "sweep points\n",
-              host.c_str(), static_cast<unsigned>(port),
-              desc.workload.c_str(), points);
-  sp::netlist::Netlist nl = sp::netlist::iscas_like(names.front());
-  const auto dist_sweep = sp::opt::area_delay_sweep(nl, model, spec, sw);
-  std::printf("area-delay curve: %zu feasible points, fastest D_stat "
-              "%.4f ps\n",
-              dist_sweep.curve.points().size(), dist_sweep.min_stat_delay);
-  for (const auto& p : dist_sweep.curve.points())
-    std::printf("  delay %.4f ps  area %.2f\n", p.delay, p.area);
-
-  if (check_local) {
-    sp::opt::SweepOptions local_sw = sw;
-    local_sw.grid = {};  // the single-process SstaBatch reference
-    sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
-    const auto local_sweep =
-        sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
-    if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
-      std::printf("FAIL: service sweep diverges from the single-process "
-                  "SstaBatch run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("service sweep is bitwise-identical to the "
-                "single-process SstaBatch run\n");
-  }
-  return EXIT_SUCCESS;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   sp::dist::RunDescriptor desc;
   sp::dist::ClusterOptions cl;
-  cl.coordinator.verbose = true;
+  sp::dist::ServiceOptions& so = cl.service;
+  so.verbose = true;
   cl.worker_bin = sibling_worker_bin(argv[0]);
-  // Port announcement is operational output, not verbosity: without
-  // --spawn, externally started workers need the (possibly ephemeral)
-  // port even under --quiet.
-  cl.on_listening = [](std::uint16_t port) {
-    std::printf("statpipe-run: listening on port %u\n",
-                static_cast<unsigned>(port));
-    std::fflush(stdout);
-  };
   std::string task = "mc";
   std::size_t points = 8;
   bool check_local = false;
@@ -427,7 +268,7 @@ int main(int argc, char** argv) {
   desc.seed = 90210;
   desc.samples_per_shard = 256;
   if (const char* env_key = std::getenv("STATPIPE_WIRE_KEY"))
-    cl.coordinator.auth_key = env_key;
+    so.auth_key = env_key;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -446,20 +287,18 @@ int main(int argc, char** argv) {
       else if (arg == "--block-width") desc.block_width = std::stoull(next());
       else if (arg == "--sigma-systematic")
         desc.sigma_vth_systematic = std::stod(next());
-      else if (arg == "--port") cl.coordinator.port = parse_port(next());
-      else if (arg == "--host") cl.coordinator.bind_host = next();
+      else if (arg == "--port") so.port = parse_port(next());
+      else if (arg == "--host") so.bind_host = next();
       else if (arg == "--units-per-range" || arg == "--shards-per-range")
-        cl.coordinator.units_per_range = std::stoull(next());
-      else if (arg == "--max-attempts")
-        cl.coordinator.max_attempts = std::stoi(next());
-      else if (arg == "--timeout-ms")
-        cl.coordinator.idle_timeout_ms = std::stoi(next());
+        so.units_per_range = std::stoull(next());
+      else if (arg == "--max-attempts") so.max_attempts = std::stoi(next());
+      else if (arg == "--timeout-ms") so.idle_timeout_ms = std::stoi(next());
       else if (arg == "--spawn") cl.spawn_workers = std::stoull(next());
       else if (arg == "--worker-bin") cl.worker_bin = next();
-      else if (arg == "--key") cl.coordinator.auth_key = next();
+      else if (arg == "--key") so.auth_key = next();
       else if (arg == "--metrics") metrics_path = next();
       else if (arg == "--check-local") check_local = true;
-      else if (arg == "--quiet") cl.coordinator.verbose = false;
+      else if (arg == "--quiet") so.verbose = false;
       else if (arg == "--serve") serve = true;
       else if (arg == "--serve-requests") {
         serve = true;
@@ -482,6 +321,13 @@ int main(int argc, char** argv) {
   }
   if (!serve) {
     if (desc.workload.empty()) usage(argv[0]);
+    if (task != "mc" && task != "ssta-sweep") {
+      std::fprintf(stderr,
+                   "statpipe-run: unknown task '%s' (this build knows mc, "
+                   "ssta-sweep)\n",
+                   task.c_str());
+      return EXIT_FAILURE;
+    }
     if (task == "mc" && desc.n_samples == 0) usage(argv[0]);
     if (task == "ssta-sweep" && points < 2) {
       std::fprintf(stderr, "statpipe-run: --points must be >= 2\n");
@@ -496,9 +342,24 @@ int main(int argc, char** argv) {
 
   try {
     int rc = EXIT_FAILURE;
-    if (serve) {
-      rc = run_serve(cl, serve_requests);
-    } else if (!connect_to.empty()) {
+    std::shared_ptr<sp::dist::ClusterHandle> handle;
+    std::shared_ptr<sp::dist::ServiceClient> client;
+    sp::dist::RunMetrics agg;  // self-hosted accounting, all requests
+    std::size_t requests = 0;
+    if (connect_to.empty()) {
+      cl.on_metrics = [&](const sp::dist::RunMetrics& m) {
+        accumulate(agg, m);
+        ++requests;
+      };
+      handle = std::make_shared<sp::dist::ClusterHandle>(cl);
+      // Port announcement is operational output, not verbosity: without
+      // --spawn, externally started workers (and clients) need the
+      // (possibly ephemeral) port even under --quiet.
+      std::printf("statpipe-run: %s on port %u\n",
+                  serve ? "serving" : "listening",
+                  static_cast<unsigned>(handle->port()));
+      std::fflush(stdout);
+    } else {
       // HOST:PORT, or a bare PORT against localhost.
       std::string host = "127.0.0.1";
       std::string port_str = connect_to;
@@ -510,28 +371,38 @@ int main(int argc, char** argv) {
       const std::uint16_t port = parse_port(port_str);
       if (port == 0)
         throw std::invalid_argument("--connect needs a nonzero port");
-      const std::string& key = cl.coordinator.auth_key;
-      if (task == "mc") {
-        rc = run_connect_mc(desc, host, port, key, priority, check_local);
-      } else if (task == "ssta-sweep") {
-        rc = run_connect_sweep(desc, points, host, port, key, check_local);
-      } else {
-        std::fprintf(stderr,
-                     "statpipe-run: unknown task '%s' (this build knows "
-                     "mc, ssta-sweep)\n",
-                     task.c_str());
-        return EXIT_FAILURE;
-      }
+      client = std::make_shared<sp::dist::ServiceClient>(host, port,
+                                                         so.auth_key);
+      std::printf("statpipe-run: client of the service at %s:%u, session "
+                  "%llu\n",
+                  host.c_str(), static_cast<unsigned>(port),
+                  static_cast<unsigned long long>(client->session()));
+    }
+
+    const char* label = handle ? "distributed" : "service";
+    if (serve) {
+      rc = run_serve(*handle, serve_requests);
     } else if (task == "mc") {
-      rc = run_mc(desc, cl, check_local);
-    } else if (task == "ssta-sweep") {
-      rc = run_ssta_sweep(desc, points, cl, check_local);
+      const Submit submit = [&](const sp::dist::RunDescriptor& d) {
+        if (handle) return handle->submit(d, priority);
+        const std::uint64_t id = client->submit(d, priority);
+        sp::dist::TaskResult r = client->wait(id);
+        std::printf("service request %llu: cache %s, queue wait %.1f ms\n",
+                    static_cast<unsigned long long>(id),
+                    client->info(id).cache_hit ? "hit" : "miss",
+                    client->info(id).queue_wait_ms);
+        return r;
+      };
+      rc = run_mc(desc, submit, label, check_local);
     } else {
-      std::fprintf(stderr,
-                   "statpipe-run: unknown task '%s' (this build knows mc, "
-                   "ssta-sweep)\n",
-                   task.c_str());
-      return EXIT_FAILURE;
+      rc = run_ssta_sweep(desc, points,
+                          handle ? sp::dist::grid_characterizer(handle)
+                                 : sp::dist::grid_characterizer(client),
+                          label, check_local);
+    }
+    if (handle && !serve) {
+      handle->close();
+      print_dist_metrics(agg, requests);
     }
     if (!metrics_path.empty()) {
       sp::obs::write_metrics_json(metrics_path);

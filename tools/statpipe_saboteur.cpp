@@ -1,7 +1,8 @@
 // statpipe-saboteur — hostile-peer harness for the distributed wire.
 //
-// Connects to a live coordinator (statpipe-run or an embedded
-// dist::Coordinator) and misbehaves on purpose, one attack per process.
+// Connects to a live coordinator (statpipe-run, or a service hosted by an
+// embedded dist::ClusterHandle) and misbehaves on purpose, one attack per
+// process.
 // The chaos matrix in tests/test_dist.cpp runs each mode against a
 // coordinator that also has honest workers: the run must finish with the
 // bitwise-correct result, and the saboteur's range (if it got one) must be

@@ -1,6 +1,6 @@
 // statpipe-worker — distributed task worker daemon.
 //
-// Dials a coordinator (statpipe-run, or an embedded dist::Coordinator),
+// Dials a coordinator (statpipe-run, or an embedded dist::ClusterHandle),
 // rebuilds the advertised workload, verifies its structural hash, and
 // serves unit-range assignments on the local thread pool until shutdown.
 // Serves every registered task kind — Monte-Carlo shard ranges and SSTA
@@ -10,11 +10,11 @@
 //   statpipe-worker --port 4815 [--host 127.0.0.1] [--retry-ms 5000]
 //                   [--key PASSPHRASE] [--quiet] [--serve]
 //
-// --serve keeps the daemon resident: when a session ends cleanly
-// (kShutdown or service disconnect) the worker dials back in and serves
-// again, so one fleet outlives any number of service restarts and client
-// submissions.  Without it the worker exits after one session (the
-// classic one-run fleet run_cluster spawns and reaps).
+// --serve keeps the daemon resident: when the service drops the session
+// the worker dials back in and serves again, so one fleet outlives any
+// number of service restarts and client submissions (ClusterHandle spawns
+// its fleet this way); an explicit kShutdown still ends it.  Without it
+// the worker exits after one session.
 //
 // Wire authentication: --key (or the STATPIPE_WIRE_KEY environment
 // variable; the flag wins) enables the HMAC-SHA256 frame trailer and must
