@@ -14,6 +14,7 @@
 #include "netlist/generators.h"
 #include "opt/global_optimizer.h"
 #include "opt/sizer.h"
+#include "sim/engine.h"
 
 namespace iscas_pipeline {
 
@@ -48,20 +49,23 @@ struct Fixture {
 
   /// (stat delay, SSTA Gaussian) of the slowest stage at its fastest
   /// sizing — lets a bench place the target at an exact achievable yield
-  /// for that stage: T = mu + Phi^-1(y)*sigma.
+  /// for that stage: T = mu + Phi^-1(y)*sigma.  The probes size independent
+  /// copies concurrently; the selection runs serially in stage order.
   std::pair<double, sp::stats::Gaussian> slowest_stage_fastest_gaussian(
       double yield) {
-    double worst = 0.0;
-    sp::stats::Gaussian g{};
-    for (auto& s : stages) {
-      auto copy = s;
+    std::vector<sp::opt::SizerResult> probes(stages.size());
+    sp::sim::parallel_for(stages.size(), [&](std::size_t i) {
+      auto copy = stages[i];
       sp::opt::SizerOptions so;
       so.t_target = 1e-3;
       so.yield_target = yield;
-      const auto r = sp::opt::size_stage(copy, model, spec, so);
-      const double d = sp::opt::stat_delay(copy, model, spec, yield);
-      if (d > worst) {
-        worst = d;
+      probes[i] = sp::opt::size_stage(copy, model, spec, so);
+    });
+    double worst = 0.0;
+    sp::stats::Gaussian g{};
+    for (const auto& r : probes) {
+      if (r.stat_delay > worst) {
+        worst = r.stat_delay;
         g = r.delay;
       }
     }

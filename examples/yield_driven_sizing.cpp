@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
     auto copy = s;
     sp::opt::SizerOptions so;
     so.t_target = 1e-3;
-    (void)sp::opt::size_stage(copy, model, spec, so);
-    worst = std::max(worst, sp::opt::stat_delay(copy, model, spec, 0.95));
+    worst = std::max(worst,
+                     sp::opt::size_stage(copy, model, spec, so).stat_delay);
   }
   const double t_target =
       worst * (min_area ? 1.06 : 1.10) + latch.timing().nominal_overhead();

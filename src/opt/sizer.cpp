@@ -6,97 +6,47 @@
 #include <stdexcept>
 #include <vector>
 
+#include "netlist/bound_netlist.h"
 #include "obs/telemetry.h"
-#include "sim/engine.h"
-#include "sim/thread_pool.h"
 #include "sta/ssta.h"
-#include "sta/sta.h"
 
 namespace statpipe::opt {
 
 namespace {
 
+using netlist::BoundNetlist;
 using netlist::GateId;
 using netlist::Netlist;
-
-/// Below this gate count the per-gate loops stay serial even when
-/// SizerOptions::threads allows more: a level of a small stage holds a
-/// handful of gates, and handing each level to the pool costs more than
-/// the arithmetic it parallelizes.
-constexpr std::size_t kParallelMinGates = 256;
-
-/// Level-synchronous schedule of the per-gate LR loops: the topological
-/// order bucketed by logic level (netlist::Netlist::levels()), preserving
-/// topo order within each bucket.  A gate's update reads fanins (strictly
-/// earlier levels — already updated, the Gauss-Seidel half) and fanout
-/// loads (strictly later levels — not yet updated), never a same-level
-/// gate, so running one bucket's gates concurrently computes exactly what
-/// the serial in-topo-order loop computes.
-struct LevelSchedule {
-  std::vector<std::vector<GateId>> buckets;
-  bool parallel = false;      ///< whether to fan buckets out to the pool
-  std::size_t threads = 1;    ///< worker cap when parallel
-
-  LevelSchedule(const Netlist& nl, std::size_t opt_threads) {
-    const auto& topo = nl.topological_order();  // materialized before any
-                                                // parallel region (the one
-                                                // mutable Netlist cache)
-    const std::vector<std::size_t> level = nl.levels();
-    std::size_t n_levels = 0;
-    for (GateId id : topo) n_levels = std::max(n_levels, level[id] + 1);
-    buckets.resize(n_levels);
-    for (GateId id : topo) buckets[level[id]].push_back(id);
-    threads = sim::resolve_threads(opt_threads);
-    parallel = threads > 1 && nl.size() >= kParallelMinGates;
-  }
-
-  /// Runs fn(id) for every gate, level by level; gates of one level run
-  /// concurrently when the schedule is parallel.  fn must touch only
-  /// per-gate state (see class comment) — that is what makes the result
-  /// thread-count-invariant bitwise.
-  template <class Fn>
-  void for_each_gate(const Fn& fn) const {
-    for (const auto& bucket : buckets) {
-      if (parallel && bucket.size() > 1) {
-        sim::parallel_for(
-            bucket.size(), [&](std::size_t i) { fn(bucket[i]); }, threads);
-      } else {
-        for (GateId id : bucket) fn(id);
-      }
-    }
-  }
-};
 
 /// Flow-conserving criticality multipliers: seed every primary output with
 /// weight softmax(arrival), then push each gate's weight back onto its
 /// fanins proportional to exp(arrival/theta) — the LR projection step.
-std::vector<double> criticality_weights(const Netlist& nl,
-                                        const std::vector<double>& arrival,
-                                        double theta) {
-  std::vector<double> w(nl.size(), 0.0);
+void criticality_weights(const BoundNetlist& b,
+                         const std::vector<double>& arrival, double theta,
+                         std::vector<double>& w) {
+  std::fill(w.begin(), w.end(), 0.0);
 
   // Output seeding.
   double amax = 0.0;
-  for (GateId o : nl.outputs()) amax = std::max(amax, arrival[o]);
+  for (GateId o : b.outputs()) amax = std::max(amax, arrival[o]);
   double norm = 0.0;
-  for (GateId o : nl.outputs()) norm += std::exp((arrival[o] - amax) / theta);
-  for (GateId o : nl.outputs())
+  for (GateId o : b.outputs()) norm += std::exp((arrival[o] - amax) / theta);
+  for (GateId o : b.outputs())
     w[o] += std::exp((arrival[o] - amax) / theta) / norm;
 
   // Reverse-topological back-propagation.
-  const auto& topo = nl.topological_order();
+  const auto& topo = b.topo();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const GateId id = *it;
-    const auto& g = nl.gate(id);
-    if (w[id] <= 0.0 || g.fanins.empty()) continue;
+    const auto fanins = b.fanins(id);
+    if (w[id] <= 0.0 || fanins.empty()) continue;
     double fmax = 0.0;
-    for (GateId f : g.fanins) fmax = std::max(fmax, arrival[f]);
+    for (GateId f : fanins) fmax = std::max(fmax, arrival[f]);
     double fsum = 0.0;
-    for (GateId f : g.fanins) fsum += std::exp((arrival[f] - fmax) / theta);
-    for (GateId f : g.fanins)
+    for (GateId f : fanins) fsum += std::exp((arrival[f] - fmax) / theta);
+    for (GateId f : fanins)
       w[f] += w[id] * std::exp((arrival[f] - fmax) / theta) / fsum;
   }
-  return w;
 }
 
 }  // namespace
@@ -120,28 +70,78 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
     throw std::invalid_argument("size_stage: bad size bounds");
   if (opt.damping <= 0.0 || opt.damping > 1.0)
     throw std::invalid_argument("size_stage: damping outside (0,1]");
+  if (nl.outputs().empty())
+    throw std::logic_error("size_stage: netlist has no primary outputs");
 
   const double z = stats::normal_icdf(opt.yield_target);
   const double tau = model.technology().tau_ps;
-  sta::StaOptions sta_opt;
-  sta_opt.output_load = opt.output_load;
-  sta::SstaOptions ssta_opt;
-  ssta_opt.output_load = opt.output_load;
+
+  // Structure and padding divisor are fixed across iterations (only sizes
+  // change inside the loop); the sizes live in a flat vector until the
+  // best one is written back.
+  const BoundNetlist b(nl);
+  const std::size_t n = b.size();
+  const double sqrt_depth = std::sqrt(
+      static_cast<double>(std::max<std::size_t>(nl.depth(), 1)));
+  std::vector<double> x = nl.sizes();
+  std::vector<double> load(n, 0.0);
+  std::vector<double> arrival(n, 0.0);  // pseudo gates stay at 0
+  std::vector<sta::CanonicalDelay> carrival(n);
+  std::vector<double> w(n, 0.0);
+
+  // One topological walk at the current sizes x.  Per gate it computes
+  // the load (cached for the size update), then from the same nominal
+  // delay and sigmas both
+  //  - the deterministic arrival padded with the gate's z*sigma share (the
+  //    statistical effect of [3]) that drives the criticality weights, and
+  //  - the canonical SSTA arrival, folded over fanins exactly as
+  //    sta::analyze_ssta folds it.
+  // Returns the canonical delay at the critical output: analyze_ssta(nl)
+  // with nl at sizes x, bitwise.
+  auto time_stage = [&]() {
+    for (GateId id : b.topo()) {
+      if (b.pseudo(id)) continue;
+      const device::GateKind kind = b.kind(id);
+      const double size = x[id];
+      const double ld = b.load(id, x.data(), opt.output_load);
+      load[id] = ld;
+      const auto sig = model.delay_sigmas(kind, size, ld, spec);
+      const double nominal = model.nominal_delay(kind, size, ld);
+      double in_arr = 0.0;
+      sta::CanonicalDelay in{};
+      bool first = true;
+      for (GateId f : b.fanins(id)) {
+        in_arr = std::max(in_arr, arrival[f]);
+        in = first ? carrival[f] : sta::canonical_max(in, carrival[f]);
+        first = false;
+      }
+      arrival[id] = in_arr + nominal + z * sig.total() / sqrt_depth;
+      carrival[id] = in + sta::CanonicalDelay{nominal, sig.inter, sig.random,
+                                              sig.systematic};
+    }
+    sta::CanonicalDelay out{};
+    bool first = true;
+    for (GateId o : b.outputs()) {
+      out = first ? carrival[o] : sta::canonical_max(out, carrival[o]);
+      first = false;
+    }
+    return out;
+  };
 
   // Lagrange multiplier on the delay constraint: scales the criticality
   // weights against area in the size update; grown/shrunk by subgradient
   // steps on the constraint violation.
   double lambda_scale = 1.0;
   double best_stat = std::numeric_limits<double>::infinity();
-  std::vector<double> best_sizes(nl.size());
-  for (std::size_t i = 0; i < nl.size(); ++i) best_sizes[i] = nl.gate(i).size;
+  sta::CanonicalDelay best_delay{};
+  std::vector<double> best_sizes = x;
   SizerResult result;
 
-  auto record_if_best = [&](double ds) {
+  auto record_if_best = [&](double ds, const sta::CanonicalDelay& d) {
     // Track the closest-to-target feasible point, or the fastest seen.
     const bool feas = ds <= opt.t_target + opt.tolerance_ps;
     const bool best_feas = best_stat <= opt.t_target + opt.tolerance_ps;
-    const double area = nl.total_area();
+    const double area = b.area(x.data());
     bool take = false;
     if (feas && best_feas)
       take = area < result.area;   // both meet target: prefer smaller area
@@ -151,41 +151,19 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
       take = ds < best_stat;       // both infeasible: prefer faster
     if (take || result.iterations == 1) {  // first evaluation always recorded
       best_stat = ds;
+      best_delay = d;
       result.area = area;
-      for (std::size_t i = 0; i < nl.size(); ++i)
-        best_sizes[i] = nl.gate(i).size;
+      best_sizes = x;
     }
   };
 
-  // Structure-dependent schedule and padding divisor, fixed across
-  // iterations (only sizes change inside the loop).
-  const LevelSchedule sched(nl, opt.threads);
-  const double sqrt_depth = std::sqrt(
-      static_cast<double>(std::max<std::size_t>(nl.depth(), 1)));
-
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    // --- timing at current sizes: deterministic arrivals padded per gate
-    //     with its z*sigma contribution (statistical effect of [3]).
-    //     Level-parallel: a gate reads only fanin arrivals (earlier
-    //     levels) and gate sizes, which this loop never writes.
-    std::vector<double> arrival(nl.size(), 0.0);
-    sched.for_each_gate([&](GateId id) {
-      const auto& g = nl.gate(id);
-      if (g.is_pseudo()) return;
-      double in_arr = 0.0;
-      for (GateId f : g.fanins) in_arr = std::max(in_arr, arrival[f]);
-      const double load = nl.load_of(id, opt.output_load);
-      const auto sig = model.delay_sigmas(g.kind, g.size, load, spec);
-      arrival[id] = in_arr + model.nominal_delay(g.kind, g.size, load) +
-                    z * sig.total() / sqrt_depth;
-    });
-
-    const double ds = stat_delay(nl, model, spec, opt.yield_target,
-                                 opt.output_load);
+    const sta::CanonicalDelay d = time_stage();
+    const double ds = d.mu + z * d.sigma();
     ++result.iterations;
     static obs::Counter c_iters("opt.sizer.iterations");
     c_iters.add();
-    record_if_best(ds);
+    record_if_best(ds, d);
     if (std::abs(ds - opt.t_target) <= opt.tolerance_ps) break;
 
     // --- subgradient step on the constraint multiplier.
@@ -194,41 +172,40 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
     lambda_scale = std::clamp(lambda_scale, 1e-4, 1e6);
 
     // --- LR projection: flow-conserving criticality weights.
-    const auto w = criticality_weights(nl, arrival, opt.softmax_theta_ps);
+    criticality_weights(b, arrival, opt.softmax_theta_ps, w);
 
-    // --- closed-form coordinate update of every size.  Level-parallel
-    //     Gauss-Seidel: a gate reads updated fanin sizes (earlier levels,
-    //     finished buckets) and pre-update fanout sizes via load_of (later
-    //     levels, untouched buckets) — the exact serial-loop visibility.
-    sched.for_each_gate([&](GateId id) {
-      auto& g = nl.gate(id);
-      if (g.is_pseudo()) return;
-      const auto& t = device::traits(g.kind);
-      const double load = nl.load_of(id, opt.output_load);
+    // --- closed-form coordinate update of every size, Gauss-Seidel in
+    //     topological order: a gate reads its fanins' already-updated
+    //     sizes and its cached load.  Every fanout comes later in the
+    //     order, so the cached load is exactly the pre-update load.
+    for (GateId id : b.topo()) {
+      if (b.pseudo(id)) continue;
+      const auto& t = device::traits(b.kind(id));
       const double lam_g = lambda_scale * w[id];
 
       // Pressure from this gate's own delay: lam_g * tau * load / x^2.
       // Pressure from loading predecessors: sum over fanins p of
       //   lam_p * tau * g_le / x_p  (per unit of our size).
       double pred_cost = 0.0;
-      for (GateId f : g.fanins) {
-        const auto& pg = nl.gate(f);
-        if (pg.is_pseudo()) continue;
-        pred_cost += lambda_scale * w[f] * tau * t.logical_effort / pg.size;
+      for (GateId f : b.fanins(id)) {
+        if (b.pseudo(f)) continue;
+        pred_cost += lambda_scale * w[f] * tau * t.logical_effort / x[f];
       }
       const double denom = t.area + pred_cost;
       const double x_star = std::sqrt(
-          std::max(lam_g * tau * std::max(load, 1e-6) / denom, 1e-12));
+          std::max(lam_g * tau * std::max(load[id], 1e-6) / denom, 1e-12));
       const double x_new = std::clamp(x_star, opt.min_size, opt.max_size);
-      g.size = g.size * (1.0 - opt.damping) + x_new * opt.damping;
-    });
+      x[id] = x[id] * (1.0 - opt.damping) + x_new * opt.damping;
+    }
   }
 
-  // Restore the best sizes seen.
-  for (std::size_t i = 0; i < nl.size(); ++i) nl.gate(i).size = best_sizes[i];
-  const auto final_d = sta::analyze_ssta(nl, model, spec, ssta_opt);
-  result.delay = final_d.as_gaussian();
-  result.stat_delay = final_d.mu + z * final_d.sigma();
+  // No iteration ran (max_iterations == 0): report the unchanged stage.
+  if (result.iterations == 0) best_delay = time_stage();
+
+  // Restore the best sizes seen; their SSTA is the one recorded with them.
+  nl.set_sizes(best_sizes);
+  result.delay = best_delay.as_gaussian();
+  result.stat_delay = best_delay.mu + z * best_delay.sigma();
   result.area = nl.total_area();
   result.feasible = result.stat_delay <= opt.t_target + opt.tolerance_ps;
   return result;

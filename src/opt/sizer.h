@@ -21,6 +21,15 @@
 // Upsizing also *reduces* sigma (RDF ~ 1/sqrt(x)) — the statistical effect
 // that distinguishes [3] from deterministic sizing; it enters through the
 // z * sigma term of the per-gate effective delay.
+//
+// Execution.  size_stage binds the netlist structure once per call
+// (netlist::BoundNetlist) and runs each iteration as one fused topological
+// walk — loads, the padded deterministic arrivals and the canonical SSTA
+// arrival together — followed by a serial Gauss-Seidel size update in
+// topological order.  It makes no thread-pool calls and draws no random
+// numbers, so its result is a pure function of its inputs: thread-count
+// invariant by construction, and safe to run concurrently on independent
+// netlists (the optimizers parallelize across candidates and stages).
 #pragma once
 
 #include <cstddef>
@@ -43,30 +52,24 @@ struct SizerOptions {
   double damping = 0.5;           ///< size-update damping in (0,1]
   double output_load = 2.0;
   double tolerance_ps = 0.05;     ///< convergence window on D_stat
-
-  /// Worker cap for the per-gate timing/size-update loops inside one LR
-  /// iteration: 0 = every shared-pool thread, 1 = serial.  The loops run
-  /// level-synchronously (gates of one logic level in parallel, levels in
-  /// sequence), and every dependency of a gate's update — fanin arrivals
-  /// and sizes at earlier levels, fanout loads at later levels — crosses
-  /// levels, so the schedule computes exactly the serial loop's values:
-  /// results are bitwise-invariant to this knob, only wall-clock changes.
-  /// Small stages (under an internal gate-count threshold) stay serial
-  /// regardless — the per-level fan-out overhead would dominate.
-  std::size_t threads = 0;
 };
 
 struct SizerResult {
   bool feasible = false;       ///< D_stat <= t_target at exit
   double area = 0.0;           ///< final cell area
   stats::Gaussian delay;       ///< final SSTA (mu, sigma)
-  double stat_delay = 0.0;     ///< mu + z*sigma at exit
+  /// mu + z*sigma at exit: bitwise stat_delay(nl, model, spec,
+  /// yield_target, output_load) on the returned sizes.
+  double stat_delay = 0.0;
   std::size_t iterations = 0;
 };
 
 /// Sizes `nl` in place: minimizes area subject to
 /// mu + Phi^-1(yield)*sigma <= t_target.  If the target is unreachable even
 /// at maximum sizes, returns feasible=false with the fastest sizing found.
+/// With max_iterations == 0 it leaves `nl` unchanged and reports its SSTA
+/// (iterations == 0).  Throws std::invalid_argument on bad options and
+/// std::logic_error if `nl` has no primary outputs, before touching a size.
 SizerResult size_stage(netlist::Netlist& nl,
                        const device::AlphaPowerModel& model,
                        const process::VariationSpec& spec,

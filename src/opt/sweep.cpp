@@ -53,9 +53,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   SizerOptions fast = opt.sizer;
   fast.yield_target = opt.yield_target;
   fast.t_target = 1e-3;
-  (void)size_stage(nl, model, spec, fast);
-  const double d_min =
-      stat_delay(nl, model, spec, opt.yield_target, opt.sizer.output_load);
+  const double d_min = size_stage(nl, model, spec, fast).stat_delay;
 
   // Candidate delay targets all size independent copies of the fast-point
   // netlist, so the design-space points evaluate concurrently and the
@@ -78,8 +76,8 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
 
   // Score the whole candidate grid in one batched SSTA pass: one topological
   // walk, opt.points size lanes.  Stat-delay, area and feasibility are
-  // bitwise-equal to what each sizer run reported (its final evaluation is
-  // analyze_ssta at the restored best sizes, and feasibility is the same
+  // bitwise-equal to what each sizer run reported (its stat delay is the
+  // scalar SSTA of the returned sizes, and feasibility is the same
   // tolerance test against the candidate's target).  With opt.grid set the
   // same grid runs on a cluster instead — bitwise-identical either way.
   sta::SstaOptions ssta_opt;

@@ -43,29 +43,13 @@ std::vector<StageCharacterization> characterize_grid(
   return batch.characterize(make_configs(size_grid, spec));
 }
 
-SstaBatch::SstaBatch(const netlist::Netlist& nl,
-                     const device::AlphaPowerModel& model,
-                     const SstaOptions& opt)
-    : model_(&model), opt_(opt) {
+namespace {
+
+const netlist::Netlist& with_outputs(const netlist::Netlist& nl) {
   if (nl.outputs().empty())
     throw std::logic_error("SstaBatch: netlist has no primary outputs");
-  topo_ = nl.topological_order();
-  outputs_ = nl.outputs();
-  gates_.resize(nl.size());
-  for (netlist::GateId id = 0; id < nl.size(); ++id) {
-    const auto& g = nl.gate(id);
-    BoundGate& b = gates_[id];
-    b.kind = g.kind;
-    b.pseudo = g.is_pseudo();
-    b.drives_output =
-        std::find(outputs_.begin(), outputs_.end(), id) != outputs_.end();
-    b.base_size = g.size;
-    b.fanins = g.fanins;
-    b.fanouts = g.fanouts;
-  }
+  return nl;
 }
-
-namespace {
 
 /// Owning SoA lane storage: four parallel vectors of `gates * lanes`
 /// doubles, gate-major (gate g's lanes are contiguous at [g*lanes, ...)).
@@ -99,6 +83,14 @@ struct LaneArrays {
 
 }  // namespace
 
+SstaBatch::SstaBatch(const netlist::Netlist& nl,
+                     const device::AlphaPowerModel& model,
+                     const SstaOptions& opt)
+    : model_(&model),
+      opt_(opt),
+      bound_(with_outputs(nl)),
+      base_sizes_(nl.sizes()) {}
+
 void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
                           std::size_t lane_begin, std::size_t lane_count,
                           CanonicalDelay* out,
@@ -108,11 +100,11 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
                              static_cast<std::int64_t>(lane_count));
   static obs::Counter c_lanes("sta.grid_lanes");
   c_lanes.add(lane_count);
-  const std::size_t n = gates_.size();
+  const std::size_t n = bound_.size();
   const std::size_t L = lane_count;
   auto size_of = [&](netlist::GateId id, std::size_t k) {
     const auto& sizes = configs[lane_begin + k].sizes;
-    return sizes.empty() ? gates_[id].base_size : sizes[id];
+    return sizes.empty() ? base_sizes_[id] : sizes[id];
   };
 
   LaneArrays arrival(n, L);
@@ -125,38 +117,36 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
   std::vector<double> nom_arrival;
   if (chars != nullptr) nom_arrival.assign(n * L, 0.0);
 
-  for (netlist::GateId id : topo_) {
-    const BoundGate& g = gates_[id];
-    if (g.pseudo) continue;
+  for (netlist::GateId id : bound_.topo()) {
+    if (bound_.pseudo(id)) continue;
+    const device::GateKind kind = bound_.kind(id);
+    const auto fanins = bound_.fanins(id);
 
     // in = fold canonical_max over fanins (first fanin copies).
     CanonicalLanes acc = work.at(0);
-    if (g.fanins.empty()) {
+    if (fanins.empty()) {
       std::fill_n(acc.mu, L, 0.0);
       std::fill_n(acc.b_inter, L, 0.0);
       std::fill_n(acc.sigma_ind, L, 0.0);
       std::fill_n(acc.b_sys, L, 0.0);
     } else {
-      arrival.copy_lanes(g.fanins.front(), acc);
-      for (std::size_t fi = 1; fi < g.fanins.size(); ++fi)
-        canonical_max_lanes(acc, arrival.at(g.fanins[fi]), L);
+      arrival.copy_lanes(fanins.front(), acc);
+      for (std::size_t fi = 1; fi < fanins.size(); ++fi)
+        canonical_max_lanes(acc, arrival.at(fanins[fi]), L);
     }
 
     // arrival[id] = in + gate canonical delay, per lane.
     CanonicalLanes dst = arrival.at(id);
     for (std::size_t k = 0; k < L; ++k) {
-      // load_of with this lane's sizes: fanout input caps in list order,
-      // plus the primary-output load.
-      double load = 0.0;
-      for (netlist::GateId s : g.fanouts)
-        load += device::input_cap(gates_[s].kind, size_of(s, k));
-      if (g.drives_output) load += opt_.output_load;
-
+      // load_of with this lane's sizes.
+      const double load = bound_.load(
+          id, [&](netlist::GateId s) { return size_of(s, k); },
+          opt_.output_load);
       const double size = size_of(id, k);
       const auto sig =
-          model_->delay_sigmas(g.kind, size, load, configs[lane_begin + k].spec);
+          model_->delay_sigmas(kind, size, load, configs[lane_begin + k].spec);
       CanonicalDelay d;
-      d.mu = model_->nominal_delay(g.kind, size, load);
+      d.mu = model_->nominal_delay(kind, size, load);
       d.b_inter = sig.inter;
       d.b_sys = sig.systematic;
       d.sigma_ind = sig.random;
@@ -164,7 +154,7 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
 
       if (chars != nullptr) {
         double in_arr = 0.0;
-        for (netlist::GateId f : g.fanins)
+        for (netlist::GateId f : fanins)
           in_arr = std::max(in_arr, nom_arrival[f * L + k]);
         nom_arrival[id * L + k] = in_arr + d.mu;
       }
@@ -173,9 +163,10 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
 
   // out = fold canonical_max over primary outputs (first output copies).
   CanonicalLanes res = work.at(0);
-  arrival.copy_lanes(outputs_.front(), res);
-  for (std::size_t oi = 1; oi < outputs_.size(); ++oi)
-    canonical_max_lanes(res, arrival.at(outputs_[oi]), L);
+  const auto& outputs = bound_.outputs();
+  arrival.copy_lanes(outputs.front(), res);
+  for (std::size_t oi = 1; oi < outputs.size(); ++oi)
+    canonical_max_lanes(res, arrival.at(outputs[oi]), L);
 
   for (std::size_t k = 0; k < L; ++k) {
     const CanonicalDelay d = res.load(k);
@@ -187,12 +178,10 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
       // Same split as characterize_ssta: systematic is shared within the
       // stage but private across stages.
       c.sigma_private = std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
-      double area = 0.0;
-      for (netlist::GateId id = 0; id < n; ++id)
-        area += device::cell_area(gates_[id].kind, size_of(id, k));
-      c.area = area;
+      c.area =
+          bound_.area([&](netlist::GateId id) { return size_of(id, k); });
       double critical = 0.0;
-      for (netlist::GateId o : outputs_)
+      for (netlist::GateId o : outputs)
         if (nom_arrival[o * L + k] >= critical) critical = nom_arrival[o * L + k];
       c.nominal_delay = critical;
       chars[lane_begin + k] = c;
@@ -215,7 +204,7 @@ void validate_configs(const std::vector<SstaConfig>& configs,
 std::vector<CanonicalDelay> SstaBatch::analyze(
     const std::vector<SstaConfig>& configs,
     const sim::ExecutionOptions& exec) const {
-  validate_configs(configs, gates_.size());
+  validate_configs(configs, bound_.size());
   std::vector<CanonicalDelay> out(configs.size());
   if (configs.empty()) return out;
   const auto shards = sim::plan_shards(
@@ -233,7 +222,7 @@ std::vector<CanonicalDelay> SstaBatch::analyze(
 std::vector<StageCharacterization> SstaBatch::characterize(
     const std::vector<SstaConfig>& configs,
     const sim::ExecutionOptions& exec) const {
-  validate_configs(configs, gates_.size());
+  validate_configs(configs, bound_.size());
   std::vector<StageCharacterization> out(configs.size());
   if (configs.empty()) return out;
   const auto shards = sim::plan_shards(

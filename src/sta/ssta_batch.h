@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "device/delay_model.h"
+#include "netlist/bound_netlist.h"
 #include "netlist/netlist.h"
 #include "process/variation.h"
 #include "sim/engine.h"
@@ -90,15 +91,16 @@ std::vector<StageCharacterization> characterize_grid(
 
 class SstaBatch {
  public:
-  /// Binds the structural part of `nl` once: topological order, gate kinds,
-  /// fanin/fanout lists, the primary-output set and the current sizes (the
-  /// fallback for configs with empty `sizes`).  `model` must outlive the
-  /// batch; later structural edits to `nl` are not seen.
+  /// Binds the structural part of `nl` once (netlist::BoundNetlist:
+  /// topological order, gate kinds, CSR fanin/fanout lists, the
+  /// primary-output set) plus the current sizes (the fallback for configs
+  /// with empty `sizes`).  `model` must outlive the batch; later structural
+  /// edits to `nl` are not seen.
   /// Throws std::logic_error if `nl` has no primary outputs.
   SstaBatch(const netlist::Netlist& nl, const device::AlphaPowerModel& model,
             const SstaOptions& opt = {});
 
-  std::size_t gate_count() const noexcept { return gates_.size(); }
+  std::size_t gate_count() const noexcept { return bound_.size(); }
 
   /// Canonical arrival at the critical output, one entry per config —
   /// bitwise-identical to one analyze_ssta run per config (see the file
@@ -122,17 +124,6 @@ class SstaBatch {
   }
 
  private:
-  /// Structure of one gate, flattened out of netlist::Gate: everything the
-  /// propagation needs without touching the (string-carrying) source gates.
-  struct BoundGate {
-    device::GateKind kind;
-    bool pseudo = false;
-    bool drives_output = false;  ///< load includes opt.output_load
-    double base_size = 1.0;      ///< fallback when a config has no sizes
-    std::vector<netlist::GateId> fanins;
-    std::vector<netlist::GateId> fanouts;
-  };
-
   /// Propagates one contiguous lane block; writes per-lane canonical results
   /// (and, when `chars` is non-null, full characterizations) at their global
   /// lane indices.
@@ -142,9 +133,8 @@ class SstaBatch {
 
   const device::AlphaPowerModel* model_;
   SstaOptions opt_;
-  std::vector<BoundGate> gates_;         // indexed by GateId
-  std::vector<netlist::GateId> topo_;    // cached topological order
-  std::vector<netlist::GateId> outputs_; // primary outputs, netlist order
+  netlist::BoundNetlist bound_;
+  std::vector<double> base_sizes_;  ///< fallback when a config has no sizes
 };
 
 }  // namespace statpipe::sta

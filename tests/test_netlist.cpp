@@ -1,13 +1,16 @@
 // Unit tests for the netlist DAG, the .bench parser and the generators.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "netlist/bench_parser.h"
+#include "netlist/bound_netlist.h"
 #include "netlist/generators.h"
 #include "netlist/netlist.h"
 
@@ -94,6 +97,37 @@ TEST(Netlist, PositionsAssigned) {
   n.assign_linear_positions();
   EXPECT_DOUBLE_EQ(n.gate(n.topological_order().front()).position, 0.0);
   EXPECT_DOUBLE_EQ(n.gate(n.topological_order().back()).position, 1.0);
+}
+
+TEST(BoundNetlist, MirrorsStructureLoadsAndAreaBitwise) {
+  // The bound view must be the netlist, flattened: same topo order and
+  // outputs, CSR spans equal to the fanin/fanout lists, and load()/area()
+  // bitwise Netlist::load_of/total_area at any size assignment.
+  auto net = nl::iscas_like("c880", 3);
+  std::mt19937_64 rng(11);
+  std::uniform_real_distribution<double> u(0.5, 6.0);
+  for (nl::GateId id = 0; id < net.size(); ++id)
+    if (!net.gate(id).is_pseudo()) net.gate(id).size = u(rng);
+  const nl::BoundNetlist b(net);
+  ASSERT_EQ(b.size(), net.size());
+  EXPECT_EQ(b.topo(), net.topological_order());
+  EXPECT_EQ(b.outputs(), net.outputs());
+  const std::vector<double> x = net.sizes();
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (nl::GateId id = 0; id < net.size(); ++id) {
+    const auto& g = net.gate(id);
+    EXPECT_EQ(b.kind(id), g.kind);
+    EXPECT_EQ(b.pseudo(id), g.is_pseudo());
+    const auto fi = b.fanins(id);
+    const auto fo = b.fanouts(id);
+    ASSERT_EQ(std::vector<nl::GateId>(fi.begin(), fi.end()), g.fanins);
+    ASSERT_EQ(std::vector<nl::GateId>(fo.begin(), fo.end()), g.fanouts);
+    for (const double out_load : {2.0, 3.25})
+      ASSERT_EQ(bits(b.load(id, x.data(), out_load)),
+                bits(net.load_of(id, out_load)))
+          << "gate " << id;
+  }
+  EXPECT_EQ(bits(b.area(x.data())), bits(net.total_area()));
 }
 
 // ------------------------------------------------------------------- bench
