@@ -176,28 +176,21 @@ Layout layout_stages(const std::vector<const netlist::Netlist*>& stages) {
 }  // namespace
 
 GateLevelMonteCarlo::GateLevelMonteCarlo(
-    std::vector<const netlist::Netlist*> stages,
+    const std::vector<const netlist::Netlist*>& stages,
     const device::AlphaPowerModel& model, const process::VariationSpec& spec,
     const device::LatchModel& latch, const sta::StaOptions& sta_opt)
-    : stages_(std::move(stages)),
-      model_(&model),
-      spec_(spec),
-      latch_(latch),
-      sta_opt_(sta_opt),
-      sampler_([&] {
-        // One layout pass: site_maps_ and latch_sites_ are declared before
-        // sampler_, so they are already constructed here.
-        Layout l = layout_stages(stages_);
-        site_maps_ = std::move(l.site_maps);
+    : latch_(latch), sampler_([&] {
+        // One layout pass: block_stages_ and latch_sites_ are declared
+        // before sampler_, so they are already constructed here.
+        Layout l = layout_stages(stages);
+        block_stages_.reserve(stages.size());
+        for (std::size_t s = 0; s < stages.size(); ++s)
+          block_stages_.emplace_back(*stages[s], model, l.site_maps[s],
+                                     sta_opt);
         latch_sites_ = std::move(l.latch_sites);
         return process::VariationSampler(model.technology(), spec,
                                          std::move(l.positions));
-      }()) {
-  // Materialize every stage's topological order now so the shards' sample
-  // STA is read-only on shared netlists (the lazy cache is the one mutable
-  // member of Netlist).
-  for (const netlist::Netlist* s : stages_) (void)s->topological_order();
-}
+      }()) {}
 
 McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
                                         const stats::Rng& root,
@@ -213,7 +206,7 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
   static obs::Counter c_samples("mc.samples");
   static obs::Counter c_blocks("mc.blocks");
   c_samples.add(shard.count);
-  const std::size_t n_stages = stages_.size();
+  const std::size_t n_stages = block_stages_.size();
   McResult r;
   r.tp_samples.reserve(shard.count);
   r.stage_stats.resize(n_stages);
@@ -226,7 +219,6 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
   ws->latch_dvth.resize(W);
   ws->latch_overhead.resize(W);
   ws->stage_delay.resize(n_stages * W);
-  ws->sta_block.resize(n_stages);
 
   // A shard's last block is simply narrower: the block kernels take any
   // width in [1, max_width()], bitwise-equal per lane.  Rows of
@@ -241,9 +233,8 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
     {
       obs::ScopedSpan walk_span(span_walk(), static_cast<std::int64_t>(w));
       for (std::size_t s = 0; s < n_stages; ++s)
-        sta::critical_delay_sample_block(*stages_[s], *model_, ws->block,
-                                         site_maps_[s], sta_opt_,
-                                         ws->sta_block[s],
+        sta::critical_delay_sample_block(block_stages_[s], ws->block,
+                                         ws->sta_block,
                                          ws->stage_delay.data() + s * w);
     }
     // Latch overheads, lane-batched per stage.  Per lane the draw order is

@@ -98,8 +98,12 @@ class GateLevelMonteCarlo {
  public:
   /// Stage netlists are laid out left-to-right along the die; stage i's
   /// gates occupy die segment [i/N, (i+1)/N] so the systematic field
-  /// correlates neighbouring stages more than distant ones.
-  GateLevelMonteCarlo(std::vector<const netlist::Netlist*> stages,
+  /// correlates neighbouring stages more than distant ones.  Each stage is
+  /// bound here into an immutable sta::BlockStage: sizes are read at
+  /// construction, like positions and topology, and the netlists are not
+  /// read again (resizing a stage afterwards does not change this engine's
+  /// results — build a new engine to time the new sizes).
+  GateLevelMonteCarlo(const std::vector<const netlist::Netlist*>& stages,
                       const device::AlphaPowerModel& model,
                       const process::VariationSpec& spec,
                       const device::LatchModel& latch,
@@ -131,7 +135,7 @@ class GateLevelMonteCarlo {
                                         const sim::ExecutionOptions& exec =
                                             {}) const;
 
-  std::size_t stage_count() const noexcept { return stages_.size(); }
+  std::size_t stage_count() const noexcept { return block_stages_.size(); }
 
  private:
   /// Pooled per-shard scratch: block sampling buffers, the SoA STA arena,
@@ -143,22 +147,17 @@ class GateLevelMonteCarlo {
     std::vector<double> latch_overhead; // [width] per-lane latch overhead
     process::DieBlock block;
     process::BlockWorkspace block_ws;
-    std::vector<sta::StaBlockWorkspace> sta_block;  // one per stage, so each
-                                                    // stays bound to its stage
+    sta::StaBlockWorkspace sta_block;   // lane scratch, shared by the stages
     std::vector<double> stage_delay;  // [stage][lane], stage-major
   };
 
   McResult run_shard(const sim::Shard& shard, const stats::Rng& root,
                      std::size_t block_width) const;
 
-  std::vector<const netlist::Netlist*> stages_;
-  const device::AlphaPowerModel* model_;
-  process::VariationSpec spec_;
   device::LatchModel latch_;
-  sta::StaOptions sta_opt_;
-  // site_maps_ and latch_sites_ precede sampler_: the constructor fills
+  // block_stages_ and latch_sites_ precede sampler_: the constructor fills
   // them from the same layout pass that yields sampler_'s positions.
-  std::vector<std::vector<std::size_t>> site_maps_;  // per stage: gate -> site
+  std::vector<sta::BlockStage> block_stages_;  // bound stages, shared by shards
   std::vector<std::size_t> latch_sites_;       // site of each stage's latch
   process::VariationSampler sampler_;          // all sites, all stages
   mutable sim::WorkspacePool<ShardScratch> scratch_;  // sim-owned workspaces

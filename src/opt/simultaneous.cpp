@@ -7,44 +7,10 @@
 
 #include "core/characterized_pipeline.h"
 #include "obs/telemetry.h"
+#include "opt/lr_engine.h"
 #include "sta/ssta.h"
 
 namespace statpipe::opt {
-
-namespace {
-
-using netlist::GateId;
-using netlist::Netlist;
-
-// Same flow-conserving criticality back-propagation as the per-stage sizer
-// (see sizer.cpp); duplicated at file scope to keep the two solvers
-// independently tunable.
-std::vector<double> stage_gate_weights(const Netlist& nl,
-                                       const std::vector<double>& arrival,
-                                       double theta) {
-  std::vector<double> w(nl.size(), 0.0);
-  double amax = 0.0;
-  for (GateId o : nl.outputs()) amax = std::max(amax, arrival[o]);
-  double norm = 0.0;
-  for (GateId o : nl.outputs()) norm += std::exp((arrival[o] - amax) / theta);
-  for (GateId o : nl.outputs())
-    w[o] += std::exp((arrival[o] - amax) / theta) / norm;
-  const auto& topo = nl.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const GateId id = *it;
-    const auto& g = nl.gate(id);
-    if (w[id] <= 0.0 || g.fanins.empty()) continue;
-    double fmax = 0.0;
-    for (GateId f : g.fanins) fmax = std::max(fmax, arrival[f]);
-    double fsum = 0.0;
-    for (GateId f : g.fanins) fsum += std::exp((arrival[f] - fmax) / theta);
-    for (GateId f : g.fanins)
-      w[f] += w[id] * std::exp((arrival[f] - fmax) / theta) / fsum;
-  }
-  return w;
-}
-
-}  // namespace
 
 SimultaneousResult size_pipeline_simultaneous(
     std::vector<netlist::Netlist*>& stages,
@@ -62,27 +28,37 @@ SimultaneousResult size_pipeline_simultaneous(
 
   const std::size_t m = stages.size();
   const double z = stats::normal_icdf(opt.yield_target);
-  const double tau = model.technology().tau_ps;
 
-  auto pipeline_model = [&] {
-    std::vector<const Netlist*> views(stages.begin(), stages.end());
-    return core::build_pipeline_ssta(views, model, spec, latch);
+  // One LR engine per stage; every gate is padded with the pipeline z.
+  std::vector<detail::StageLrEngine> engines;
+  engines.reserve(m);
+  for (auto* s : stages) engines.emplace_back(*s, model, spec, so, z);
+  const std::vector<const netlist::Netlist*> views(stages.begin(),
+                                                   stages.end());
+
+  // --- pipeline-level statistical timing (the coupling the paper's
+  //     divide-and-conquer flow evaluates incrementally): one fused walk
+  //     per stage.  Its canonical delay is analyze_ssta's, so the model is
+  //     build_pipeline_ssta's at the engines' sizes, bitwise.
+  auto walk_pipeline = [&] {
+    std::vector<sta::StageCharacterization> cs(m);
+    for (std::size_t s = 0; s < m; ++s) {
+      const sta::CanonicalDelay d = engines[s].walk();
+      cs[s].delay = d.as_gaussian();
+      cs[s].sigma_inter = std::abs(d.b_inter);
+      cs[s].area = engines[s].area();
+    }
+    return core::assemble_pipeline(views, cs, latch, spec);
   };
 
   double lambda_scale = 1.0;
   SimultaneousResult result;
   double best_metric = -std::numeric_limits<double>::infinity();
   std::vector<std::vector<double>> best_sizes(m);
-  for (std::size_t s = 0; s < m; ++s) {
-    best_sizes[s].resize(stages[s]->size());
-    for (std::size_t g = 0; g < stages[s]->size(); ++g)
-      best_sizes[s][g] = stages[s]->gate(g).size;
-  }
+  for (std::size_t s = 0; s < m; ++s) best_sizes[s] = engines[s].sizes();
 
   for (std::size_t iter = 0; iter < so.max_iterations; ++iter) {
-    // --- pipeline-level statistical timing (the coupling the paper's
-    //     divide-and-conquer flow evaluates incrementally).
-    const auto pipe = pipeline_model();
+    const auto pipe = walk_pipeline();
     const double y = pipe.yield(opt.t_target);
     const double t_req = pipe.target_delay_for_yield(opt.yield_target);
     ++result.iterations;
@@ -91,8 +67,7 @@ SimultaneousResult size_pipeline_simultaneous(
 
     // Track the best design seen: feasibility first, then area.
     {
-      double area = 0.0;
-      for (auto* s : stages) area += s->total_area();
+      const double area = pipe.total_area();
       const bool feas = y >= opt.yield_target - 1e-9;
       const double metric = feas ? 1e12 - area : y * 1e6;
       if (metric > best_metric) {
@@ -100,9 +75,7 @@ SimultaneousResult size_pipeline_simultaneous(
         result.feasible = feas;
         result.area = area;
         result.pipeline_yield = y;
-        for (std::size_t s = 0; s < m; ++s)
-          for (std::size_t g = 0; g < stages[s]->size(); ++g)
-            best_sizes[s][g] = stages[s]->gate(g).size;
+        for (std::size_t s = 0; s < m; ++s) best_sizes[s] = engines[s].sizes();
       }
     }
 
@@ -131,51 +104,19 @@ SimultaneousResult size_pipeline_simultaneous(
 
     // --- joint gate update: every gate of every stage, weighted by its
     //     stage criticality.
-    for (std::size_t s = 0; s < m; ++s) {
-      Netlist& nl = *stages[s];
-      std::vector<double> arrival(nl.size(), 0.0);
-      for (GateId id : nl.topological_order()) {
-        const auto& g = nl.gate(id);
-        if (g.is_pseudo()) continue;
-        double in_arr = 0.0;
-        for (GateId f : g.fanins) in_arr = std::max(in_arr, arrival[f]);
-        const double load = nl.load_of(id, so.output_load);
-        const auto sig = model.delay_sigmas(g.kind, g.size, load, spec);
-        arrival[id] = in_arr + model.nominal_delay(g.kind, g.size, load) +
-                      z * sig.total() /
-                          std::sqrt(static_cast<double>(
-                              std::max<std::size_t>(nl.depth(), 1)));
-      }
-      const auto w = stage_gate_weights(nl, arrival, so.softmax_theta_ps);
-      const double lam_stage = lambda_scale * static_cast<double>(m) * crit[s];
-      for (GateId id : nl.topological_order()) {
-        auto& g = nl.gate(id);
-        if (g.is_pseudo()) continue;
-        const auto& t = device::traits(g.kind);
-        const double load = nl.load_of(id, so.output_load);
-        double pred_cost = 0.0;
-        for (GateId f : g.fanins) {
-          const auto& pg = nl.gate(f);
-          if (pg.is_pseudo()) continue;
-          pred_cost += lam_stage * w[f] * tau * t.logical_effort / pg.size;
-        }
-        const double denom = t.area + pred_cost;
-        const double x_star = std::sqrt(std::max(
-            lam_stage * w[id] * tau * std::max(load, 1e-6) / denom, 1e-12));
-        const double x_new = std::clamp(x_star, so.min_size, so.max_size);
-        g.size = g.size * (1.0 - so.damping) + x_new * so.damping;
-      }
-    }
+    for (std::size_t s = 0; s < m; ++s)
+      engines[s].update(lambda_scale * static_cast<double>(m) * crit[s]);
   }
 
+  // No iteration ran (max_iterations == 0): report the unchanged pipeline.
+  if (result.iterations == 0) {
+    const auto pipe = walk_pipeline();
+    result.pipeline_yield = pipe.yield(opt.t_target);
+    result.area = pipe.total_area();
+    result.feasible = result.pipeline_yield >= opt.yield_target - 1e-9;
+  }
   // Restore the best joint design.
-  for (std::size_t s = 0; s < m; ++s)
-    for (std::size_t g = 0; g < stages[s]->size(); ++g)
-      stages[s]->gate(g).size = best_sizes[s][g];
-  const auto pipe = pipeline_model();
-  result.pipeline_yield = pipe.yield(opt.t_target);
-  result.area = pipe.total_area();
-  result.feasible = result.pipeline_yield >= opt.yield_target - 1e-9;
+  for (std::size_t s = 0; s < m; ++s) stages[s]->set_sizes(best_sizes[s]);
   return result;
 }
 

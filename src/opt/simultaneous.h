@@ -9,6 +9,15 @@
 // how close its statistical delay is to the pipeline max).  This is the
 // honest "size everything at once" formulation — used by the ablation
 // bench and available to users who prefer one joint solve.
+//
+// Execution.  Each stage runs the same LR engine as size_stage
+// (opt/lr_engine.h), padded with the pipeline's z.  An iteration is one
+// fused walk per stage — its canonical delay is sta::analyze_ssta's, so
+// the pipeline model assembled from it (core::assemble_pipeline) is
+// core::build_pipeline_ssta's, bitwise — then one Gauss-Seidel update per
+// stage under the stage's share of the joint multiplier.  Stages are timed
+// at sizer.output_load.  The netlists are written once, with the best
+// sizes, at exit; no thread-pool calls, no random numbers.
 #pragma once
 
 #include <vector>
@@ -22,7 +31,8 @@ namespace statpipe::opt {
 struct SimultaneousOptions {
   double t_target = 200.0;     ///< pipeline delay target (incl. latch) [ps]
   double yield_target = 0.80;  ///< pipeline yield target
-  SizerOptions sizer;          ///< per-gate update knobs (t_target ignored)
+  SizerOptions sizer;  ///< per-gate update knobs (t_target, yield_target
+                       ///< and tolerance_ps ignored)
   double stage_softmax_theta = 0.02;  ///< stage-criticality temperature,
                                       ///< relative to the target
 };

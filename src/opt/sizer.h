@@ -22,14 +22,16 @@
 // that distinguishes [3] from deterministic sizing; it enters through the
 // z * sigma term of the per-gate effective delay.
 //
-// Execution.  size_stage binds the netlist structure once per call
-// (netlist::BoundNetlist) and runs each iteration as one fused topological
-// walk — loads, the padded deterministic arrivals and the canonical SSTA
-// arrival together — followed by a serial Gauss-Seidel size update in
-// topological order.  It makes no thread-pool calls and draws no random
-// numbers, so its result is a pure function of its inputs: thread-count
-// invariant by construction, and safe to run concurrently on independent
-// netlists (the optimizers parallelize across candidates and stages).
+// Execution.  size_stage runs one per-stage LR engine (opt/lr_engine.h,
+// shared with size_pipeline_simultaneous): the netlist structure is bound
+// once per call (netlist::BoundNetlist) and each iteration is one fused
+// topological walk — loads, the padded deterministic arrivals and the
+// canonical SSTA arrival together — followed by a serial Gauss-Seidel size
+// update in topological order.  It makes no thread-pool calls and draws no
+// random numbers, so its result is a pure function of its inputs:
+// thread-count invariant by construction, and safe to run concurrently on
+// independent netlists (the optimizers parallelize across candidates and
+// stages).
 #pragma once
 
 #include <cstddef>

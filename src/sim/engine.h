@@ -35,11 +35,12 @@ struct ExecutionOptions {
   /// Shard granularity.  Changing it re-partitions the RNG streams (results
   /// change deterministically); the thread count never does.
   std::size_t samples_per_shard = 1024;
-  /// SoA lane width for engines with a block-vectorized sample path: full
-  /// blocks of this many samples go through the block kernels, the shard
-  /// tail runs scalar.  1 = fully scalar.  Engines validate it against
-  /// their kernel cap — the active SIMD backend's stats::lanes::max_width()
-  /// — via validate() below; a value of 0 or beyond the cap throws, it is
+  /// SoA lane width for engines with a block-vectorized sample path: a
+  /// shard runs as blocks of this many samples through the block kernels,
+  /// its last block narrower when the width does not divide the shard (1 =
+  /// one-lane blocks; there is no scalar tail).  Engines validate it
+  /// against their kernel cap — the active SIMD backend's
+  /// stats::lanes::max_width() — via validate() below; a value of 0 or beyond the cap throws, it is
   /// never silently clamped.  The default of 8 is valid on every backend;
   /// stats::lanes::preferred_width() is the throughput-tuned choice.
   /// Like `threads` — and unlike `samples_per_shard` — results NEVER

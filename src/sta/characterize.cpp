@@ -1,6 +1,7 @@
 #include "sta/characterize.h"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "stats/descriptive.h"
@@ -23,12 +24,16 @@ StageCharacterization characterize_mc(const netlist::Netlist& nl,
   StaOptions sta_opt;
   sta_opt.output_load = opt.output_load;
 
+  std::vector<std::size_t> identity(nl.size());
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  StaWorkspace ws;
   std::vector<double> delays, inters;
   delays.reserve(opt.mc_samples);
   inters.reserve(opt.mc_samples);
   for (std::size_t i = 0; i < opt.mc_samples; ++i) {
     const auto die = sampler.sample(rng);
-    delays.push_back(analyze_sample(nl, model, die, sta_opt).critical_delay);
+    delays.push_back(
+        critical_delay_sample(nl, model, die, identity, sta_opt, ws));
     inters.push_back(die.dvth_inter);
   }
 

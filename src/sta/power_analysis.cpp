@@ -1,5 +1,6 @@
 #include "sta/power_analysis.h"
 
+#include <numeric>
 #include <stdexcept>
 
 #include "sta/sta.h"
@@ -33,14 +34,6 @@ double sample_leakage_uw(const netlist::Netlist& nl,
   return total;
 }
 
-double sample_leakage_uw(const netlist::Netlist& nl,
-                         const device::PowerModel& power,
-                         const process::DieSample& die) {
-  std::vector<std::size_t> identity(nl.size());
-  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  return sample_leakage_uw(nl, power, die, identity);
-}
-
 std::vector<DelayLeakageSample> delay_leakage_mc(
     const netlist::Netlist& nl, const device::AlphaPowerModel& delay_model,
     const device::PowerModel& power, const process::VariationSpec& spec,
@@ -55,12 +48,16 @@ std::vector<DelayLeakageSample> delay_leakage_mc(
   StaOptions opt;
   opt.output_load = output_load;
 
+  std::vector<std::size_t> identity(nl.size());
+  std::iota(identity.begin(), identity.end(), std::size_t{0});
+  StaWorkspace ws;
   std::vector<DelayLeakageSample> out;
   out.reserve(n_samples);
   for (std::size_t k = 0; k < n_samples; ++k) {
     const auto die = sampler.sample(rng);
-    out.push_back({analyze_sample(nl, delay_model, die, opt).critical_delay,
-                   sample_leakage_uw(nl, power, die)});
+    out.push_back(
+        {critical_delay_sample(nl, delay_model, die, identity, opt, ws),
+         sample_leakage_uw(nl, power, die, identity)});
   }
   return out;
 }

@@ -25,14 +25,12 @@ PowerReport analyze_power(const netlist::Netlist& nl,
                           const device::PowerModel& power, double f_ghz);
 
 /// Leakage of a netlist on one sampled die (per-gate Vth shifts applied;
-/// RDF scaled by each gate's size).  `site_of_gate` as in analyze_sample.
+/// RDF scaled by each gate's size).  `site_of_gate` as in
+/// critical_delay_sample.
 double sample_leakage_uw(const netlist::Netlist& nl,
                          const device::PowerModel& power,
                          const process::DieSample& die,
                          const std::vector<std::size_t>& site_of_gate);
-double sample_leakage_uw(const netlist::Netlist& nl,
-                         const device::PowerModel& power,
-                         const process::DieSample& die);
 
 /// Joint Monte-Carlo of circuit delay and leakage over dies: the material
 /// for a frequency-vs-leakage scatter (Bowman-style FMAX picture).  Returns

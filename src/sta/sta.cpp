@@ -69,18 +69,6 @@ StaResult analyze(const netlist::Netlist& nl,
   });
 }
 
-StaResult analyze_sample(const netlist::Netlist& nl,
-                         const device::AlphaPowerModel& model,
-                         const process::DieSample& die,
-                         const std::vector<std::size_t>& site_of_gate,
-                         const StaOptions& opt) {
-  if (site_of_gate.size() != nl.size())
-    throw std::invalid_argument("analyze_sample: site map size mismatch");
-  return propagate(nl, [&](netlist::GateId id) {
-    return sample_gate_delay(nl, model, die, site_of_gate, opt, id);
-  });
-}
-
 double critical_delay_sample(const netlist::Netlist& nl,
                              const device::AlphaPowerModel& model,
                              const process::DieSample& die,
@@ -98,62 +86,45 @@ double critical_delay_sample(const netlist::Netlist& nl,
   return critical;
 }
 
-namespace {
-
-// Bind-once half of the block kernel: flattens the lane-invariant stage
-// structure into the workspace.  Every cached value is computed exactly as
-// the scalar path computes it per die (same expressions, same order), so
-// streaming many blocks through one binding cannot change results.
-void bind_block_workspace(const netlist::Netlist& nl,
-                          const device::AlphaPowerModel& model,
-                          const std::vector<std::size_t>& site_of_gate,
-                          const StaOptions& opt, StaBlockWorkspace& ws) {
-  ws.gate_ids.clear();
-  ws.site.clear();
-  ws.nominal.clear();
-  ws.sqrt_size.clear();
-  ws.fanin_begin.clear();
-  ws.fanins.clear();
-  ws.fanin_begin.push_back(0);
-  for (netlist::GateId id : nl.topological_order()) {
+BlockStage::BlockStage(const netlist::Netlist& nl,
+                       const device::AlphaPowerModel& model,
+                       const std::vector<std::size_t>& site_of_gate,
+                       const StaOptions& opt)
+    : model_(&model), n_gates_(nl.size()), outputs_(nl.outputs()) {
+  if (site_of_gate.size() != nl.size())
+    throw std::invalid_argument("BlockStage: site map size mismatch");
+  if (outputs_.empty())
+    throw std::logic_error("sta: netlist has no primary outputs");
+  // Each cached value is computed exactly as sample_gate_delay computes it
+  // per die (same load_of, nominal_delay and sqrt expressions), so one
+  // binding streams any number of blocks without changing a result bit.
+  const std::vector<netlist::GateId>& topo = nl.topological_order();
+  gate_ids_.reserve(topo.size());
+  site_.reserve(topo.size());
+  nominal_.reserve(topo.size());
+  sqrt_size_.reserve(topo.size());
+  fanin_begin_.reserve(topo.size() + 1);
+  fanin_begin_.push_back(0);
+  for (netlist::GateId id : topo) {
     const auto& g = nl.gate(id);
     if (g.is_pseudo()) continue;
-    ws.gate_ids.push_back(id);
-    ws.site.push_back(site_of_gate[id]);
-    ws.nominal.push_back(
-        model.nominal_delay(g.kind, g.size, nl.load_of(id, opt.output_load)));
-    ws.sqrt_size.push_back(std::sqrt(g.size));
-    ws.fanins.insert(ws.fanins.end(), g.fanins.begin(), g.fanins.end());
-    ws.fanin_begin.push_back(ws.fanins.size());
+    gate_ids_.push_back(id);
+    site_.push_back(site_of_gate[id]);
+    nominal_.push_back(model.nominal_delay(g.kind, g.size,
+                                           nl.load_of(id, opt.output_load)));
+    sqrt_size_.push_back(std::sqrt(g.size));
+    fanins_.insert(fanins_.end(), g.fanins.begin(), g.fanins.end());
+    fanin_begin_.push_back(fanins_.size());
   }
-  ws.bound_nl = &nl;
-  ws.bound_model = &model;
-  ws.bound_sites = &site_of_gate;
-  ws.bound_output_load = opt.output_load;
 }
 
-}  // namespace
-
-void critical_delay_sample_block(const netlist::Netlist& nl,
-                                 const device::AlphaPowerModel& model,
+void critical_delay_sample_block(const BlockStage& stage,
                                  const process::DieBlock& block,
-                                 const std::vector<std::size_t>& site_of_gate,
-                                 const StaOptions& opt, StaBlockWorkspace& ws,
-                                 double* critical) {
-  if (site_of_gate.size() != nl.size())
-    throw std::invalid_argument(
-        "critical_delay_sample_block: site map size mismatch");
+                                 StaBlockWorkspace& ws, double* critical) {
   // Single source of truth for the kernel width rule (throws on 0 or
   // beyond kMaxWidth — validated, never clamped).
   const std::size_t W = stats::lanes::validated_width(block.width);
-  if (nl.outputs().empty())
-    throw std::logic_error("sta: netlist has no primary outputs");
-  if (ws.bound_nl != &nl || ws.bound_model != &model ||
-      ws.bound_sites != &site_of_gate ||
-      ws.bound_output_load != opt.output_load)
-    bind_block_workspace(nl, model, site_of_gate, opt, ws);
-
-  ws.arrival.assign(nl.size() * W, 0.0);
+  ws.arrival.assign(stage.n_gates_ * W, 0.0);
   ws.dvth.resize(W);
   ws.dl.resize(W);
   ws.vf.resize(W);
@@ -166,13 +137,13 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   // and rejections are unchanged from the pre-dispatch walk.
   stats::simd::StaWalkArgs args;
   args.width = W;
-  args.n_gates = ws.gate_ids.size();
-  args.gate_ids = ws.gate_ids.data();
-  args.site = ws.site.data();
-  args.nominal = ws.nominal.data();
-  args.sqrt_size = ws.sqrt_size.data();
-  args.fanin_begin = ws.fanin_begin.data();
-  args.fanins = ws.fanins.data();
+  args.n_gates = stage.gate_ids_.size();
+  args.gate_ids = stage.gate_ids_.data();
+  args.site = stage.site_.data();
+  args.nominal = stage.nominal_.data();
+  args.sqrt_size = stage.sqrt_size_.data();
+  args.fanin_begin = stage.fanin_begin_.data();
+  args.fanins = stage.fanins_.data();
   args.dvth_inter = block.dvth_inter.data();
   args.dl_inter = block.dl_inter_rel.data();
   args.dvth_sys = block.dvth_systematic.empty()
@@ -183,7 +154,7 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   args.dl_sys = block.dl_systematic_rel.empty()
                     ? nullptr
                     : block.dl_systematic_rel.data();
-  const auto vp = model.variation_kernel_params();
+  const auto vp = stage.model_->variation_kernel_params();
   args.drive0 = vp.drive0;
   args.alpha = vp.alpha;
   args.min_ratio = vp.min_ratio;
@@ -192,8 +163,8 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   args.dvth = ws.dvth.data();
   args.dl = ws.dl.data();
   args.vf = ws.vf.data();
-  args.outputs = nl.outputs().data();
-  args.n_outputs = nl.outputs().size();
+  args.outputs = stage.outputs_.data();
+  args.n_outputs = stage.outputs_.size();
   args.critical = critical;
 
   const std::size_t fault = stats::simd::kernels().sta_block_walk(args);
@@ -203,25 +174,15 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
     // Regenerate the exact scalar exception (same message, same lane
     // precedence) by replaying the scalar check on those shifts.
     for (std::size_t j = 0; j < W; ++j)
-      (void)model.variation_factor(ws.dvth[j], ws.dl[j]);
+      (void)stage.model_->variation_factor(ws.dvth[j], ws.dl[j]);
     throw std::logic_error(
         "critical_delay_sample_block: walk kernel reported a domain fault "
         "the scalar variation_factor does not reproduce");
   }
 }
 
-StaResult analyze_sample(const netlist::Netlist& nl,
-                         const device::AlphaPowerModel& model,
-                         const process::DieSample& die,
-                         const StaOptions& opt) {
-  std::vector<std::size_t> identity(nl.size());
-  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-  return analyze_sample(nl, model, die, identity, opt);
-}
-
 std::vector<netlist::GateId> StaResult::critical_path(
-    const netlist::Netlist& nl, const device::AlphaPowerModel& model,
-    const StaOptions& opt) const {
+    const netlist::Netlist& nl) const {
   std::vector<netlist::GateId> path;
   if (critical_output == netlist::kInvalidGate) return path;
   netlist::GateId cur = critical_output;
@@ -235,8 +196,6 @@ std::vector<netlist::GateId> StaResult::critical_path(
       if (arrival[f] > arrival[best]) best = f;
     cur = best;
   }
-  (void)model;
-  (void)opt;
   std::reverse(path.begin(), path.end());
   return path;
 }

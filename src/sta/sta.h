@@ -29,9 +29,7 @@ struct StaResult {
   netlist::GateId critical_output = netlist::kInvalidGate;
 
   /// Gates on the critical path, input-side first.
-  std::vector<netlist::GateId> critical_path(const netlist::Netlist& nl,
-                                             const device::AlphaPowerModel& model,
-                                             const StaOptions& opt = {}) const;
+  std::vector<netlist::GateId> critical_path(const netlist::Netlist& nl) const;
 };
 
 /// Nominal (variation-free) STA.
@@ -39,85 +37,86 @@ StaResult analyze(const netlist::Netlist& nl,
                   const device::AlphaPowerModel& model,
                   const StaOptions& opt = {});
 
-/// STA under a sampled die: per-gate delays scaled by the alpha-power
-/// variation factor at each gate's site.  `site_of_gate[i]` maps gate id to
-/// the DieSample site index (identity when the netlist was sampled alone).
-StaResult analyze_sample(const netlist::Netlist& nl,
-                         const device::AlphaPowerModel& model,
-                         const process::DieSample& die,
-                         const std::vector<std::size_t>& site_of_gate,
-                         const StaOptions& opt = {});
-
-/// Convenience: identity site map (site i == gate i).
-StaResult analyze_sample(const netlist::Netlist& nl,
-                         const device::AlphaPowerModel& model,
-                         const process::DieSample& die,
-                         const StaOptions& opt = {});
-
 /// Caller-owned arrival-time arena for tight sample-STA loops (one per
 /// Monte-Carlo shard): steady-state sample STA then allocates nothing.
 struct StaWorkspace {
   std::vector<double> arrival;
 };
 
-/// Reentrant sample STA: returns only the critical delay, propagating
-/// through the caller's workspace.  Const-safe for concurrent use on the
-/// same netlist provided its topological order has been materialized first
-/// (call nl.topological_order() — or any STA entry point — once before
-/// fanning out; the lazy cache is the one mutable member).
+/// Reentrant sample STA under a sampled die: per-gate delays scaled by the
+/// alpha-power variation factor at each gate's site, returning only the
+/// critical delay and propagating through the caller's workspace.
+/// `site_of_gate[i]` maps gate id to the DieSample site index (identity
+/// when the netlist was sampled alone).  Const-safe for concurrent use on
+/// the same netlist provided its topological order has been materialized
+/// first (call nl.topological_order() — or any STA entry point — once
+/// before fanning out; the lazy cache is the one mutable member).
 double critical_delay_sample(const netlist::Netlist& nl,
                              const device::AlphaPowerModel& model,
                              const process::DieSample& die,
                              const std::vector<std::size_t>& site_of_gate,
                              const StaOptions& opt, StaWorkspace& ws);
 
-/// Caller-owned SoA arena for the block sample STA (one per Monte-Carlo
-/// shard and stage): gate-major arrival lanes plus per-gate lane scratch,
-/// all reused so steady-state block STA allocates nothing.
+struct StaBlockWorkspace;
+
+/// Bind-once half of the block sample STA: one stage's lane-invariant
+/// structure — topo order with pseudo gates skipped, and per bound gate its
+/// site, nominal delay, sqrt(size) and CSR fanin span.  Every value is
+/// exactly what critical_delay_sample recomputes per die, so streaming any
+/// number of blocks through one BlockStage cannot change a result bit.
+/// The bind reads each value once, straight off the Netlist: a
+/// netlist::BoundNetlist would add a transient fanout CSR that costs the
+/// Monte-Carlo engine's set-up more than it saves here.
 ///
-/// The workspace also caches the lane-invariant stage structure — the
-/// bind-once/stream-many half of the block kernel: flattened topo order,
-/// per-gate site, capacitive load, nominal delay, sqrt(size) and CSR fanin
-/// spans.  Every cached value is exactly what the scalar path recomputes
-/// per die, so reuse cannot change results.  The cache keys on the
-/// ADDRESSES of the netlist, model and site map plus opt.output_load: a
-/// caller that reuses one workspace across stages must keep those objects
-/// alive and structurally unmodified between calls (the Monte-Carlo engine
-/// owns one workspace per stage for exactly this reason).
+/// Immutable: the netlist's sizes, topology and the site map are read once
+/// here (later edits to the netlist are not seen), so one BlockStage is
+/// shared read-only by any number of concurrent walks.  The model must
+/// outlive it.  Throws std::invalid_argument on a site map whose length is
+/// not nl.size() and std::logic_error on a netlist without outputs.
+class BlockStage {
+ public:
+  BlockStage(const netlist::Netlist& nl, const device::AlphaPowerModel& model,
+             const std::vector<std::size_t>& site_of_gate,
+             const StaOptions& opt = {});
+
+ private:
+  friend void critical_delay_sample_block(const BlockStage&,
+                                          const process::DieBlock&,
+                                          StaBlockWorkspace&, double*);
+
+  const device::AlphaPowerModel* model_;
+  std::size_t n_gates_;                   ///< nl.size(): arrival row count
+  std::vector<netlist::GateId> outputs_;  ///< output fold order
+  std::vector<netlist::GateId> gate_ids_; ///< topo order, pseudo skipped
+  std::vector<std::size_t> site_;         ///< per bound gate
+  std::vector<double> nominal_;           ///< nominal delay per bound gate
+  std::vector<double> sqrt_size_;         ///< sqrt(gate size) per bound gate
+  std::vector<std::size_t> fanin_begin_;  ///< CSR offsets, gate_ids_+1
+  std::vector<netlist::GateId> fanins_;   ///< CSR fanin ids
+};
+
+/// Caller-owned lane scratch for the block sample STA (one per Monte-Carlo
+/// shard): gate-major arrival lanes plus per-gate lane rows, reused so
+/// steady-state block STA allocates nothing.  Holds no stage state, so one
+/// workspace serves any sequence of stages.
 struct StaBlockWorkspace {
   std::vector<double> arrival;  ///< [gates * width], gate-major lane rows
   std::vector<double> dvth;     ///< [width] per-gate Vth shifts
   std::vector<double> dl;       ///< [width] per-gate dL/L shifts
   std::vector<double> vf;       ///< [width] per-gate variation factors
-
-  // Bound stage structure (managed by critical_delay_sample_block).
-  const netlist::Netlist* bound_nl = nullptr;
-  const device::AlphaPowerModel* bound_model = nullptr;
-  const std::vector<std::size_t>* bound_sites = nullptr;
-  double bound_output_load = 0.0;
-  std::vector<netlist::GateId> gate_ids;  ///< topo order, pseudo skipped
-  std::vector<std::size_t> site;          ///< per bound gate
-  std::vector<double> nominal;            ///< nominal delay per bound gate
-  std::vector<double> sqrt_size;          ///< sqrt(gate size) per bound gate
-  std::vector<std::size_t> fanin_begin;   ///< CSR offsets, size gate_ids+1
-  std::vector<netlist::GateId> fanins;    ///< CSR fanin ids
 };
 
 /// Block sample STA: evaluates the alpha-power delay model and the topo max
-/// for all `block.width` dies of one SoA DieBlock in a single walk, writing
-/// the per-die critical delays to critical[0 .. width).  The walk runs as
-/// one kernel of the active SIMD backend (stats/simd.h; width validated
-/// against the backend's max_width()).  Per die the operation order is
-/// unchanged from the scalar path — lane-invariant work (gate load,
-/// nominal delay, sqrt(size)) is hoisted out of the lane loop but produces
-/// the exact values the scalar path computes per call — so each die's
-/// delay is bitwise-identical to critical_delay_sample on that die under
-/// every backend.  Same reentrancy contract as critical_delay_sample.
-void critical_delay_sample_block(const netlist::Netlist& nl,
-                                 const device::AlphaPowerModel& model,
+/// for all `block.width` dies of one SoA DieBlock in a single walk over
+/// `stage`, writing the per-die critical delays to critical[0 .. width).
+/// The walk runs as one kernel of the active SIMD backend (stats/simd.h;
+/// width validated against the backend's max_width()).  Per die the
+/// operation order is unchanged from the scalar path — lane-invariant work
+/// is hoisted into the BlockStage but produces the exact values the scalar
+/// path computes per call — so each die's delay is bitwise-identical to
+/// critical_delay_sample on that die under every backend.
+void critical_delay_sample_block(const BlockStage& stage,
                                  const process::DieBlock& block,
-                                 const std::vector<std::size_t>& site_of_gate,
-                                 const StaOptions& opt, StaBlockWorkspace& ws,
-                                 double* critical);
+                                 StaBlockWorkspace& ws, double* critical);
 
 }  // namespace statpipe::sta

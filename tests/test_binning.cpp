@@ -116,7 +116,7 @@ TEST(C17, CriticalPathIsThreeNands) {
   const auto nl = sp::netlist::iscas_c17();
   const sp::device::AlphaPowerModel m{sp::process::Technology{}};
   const auto r = sp::sta::analyze(nl, m);
-  const auto path = r.critical_path(nl, m);
+  const auto path = r.critical_path(nl);
   // input + 3 levels of NAND2.
   EXPECT_EQ(path.size(), 4u);
 }

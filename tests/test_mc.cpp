@@ -321,6 +321,45 @@ TEST(GateMc, BlockPathMatchesScalarOracleBitwise) {
   }
 }
 
+TEST(GateMc, StageSizesAreReadAtConstruction) {
+  // The engine binds every stage (topology, sites AND sizes) once, in its
+  // constructor, and shares that binding read-only across shards.
+  // Resizing the netlists afterwards must not leak into later runs, at any
+  // thread count: every pooled shard workspace sees the same sizes.  (A
+  // per-workspace bind cache fails this once the pool runs two or more
+  // workers: workspaces made after the resize bind the new sizes.)
+  std::vector<sp::netlist::Netlist> stages;
+  for (int i = 0; i < 3; ++i) stages.push_back(sp::netlist::inverter_grid(4, 6));
+  std::vector<const sp::netlist::Netlist*> views;
+  for (const auto& s : stages) views.push_back(&s);
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  const sp::device::LatchModel latch{{}, model};
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  const sp::mc::GateLevelMonteCarlo mc(views, model, spec, latch);
+
+  sp::sim::ExecutionOptions serial, pooled;
+  serial.threads = 1;
+  serial.samples_per_shard = 64;
+  pooled.threads = 0;  // every shared-pool thread
+  pooled.samples_per_shard = 64;
+  sp::stats::Rng r0(5);
+  const auto first = mc.run(2048, r0, serial);
+
+  for (auto& s : stages) s.scale_sizes(2.0);
+  sp::stats::Rng r1(5), r2(5);
+  const auto again = mc.run(2048, r1, serial);
+  const auto wide = mc.run(2048, r2, pooled);
+  for (const auto* r : {&again, &wide}) {
+    ASSERT_EQ(r->tp_samples.size(), first.tp_samples.size());
+    for (std::size_t i = 0; i < first.tp_samples.size(); ++i)
+      ASSERT_EQ(r->tp_samples[i], first.tp_samples[i]) << "sample " << i;
+    for (std::size_t s = 0; s < stages.size(); ++s) {
+      EXPECT_EQ(r->stage_stats[s].mean(), first.stage_stats[s].mean());
+      EXPECT_EQ(r->stage_stats[s].variance(), first.stage_stats[s].variance());
+    }
+  }
+}
+
 TEST(GateMc, BadBlockWidthIsRejectedUpFront) {
   // block_width outside [1, lanes::max_width()] of the active SIMD backend
   // is a caller bug: it is rejected with a clear error before any

@@ -2,6 +2,7 @@
 // reference).
 #include <gtest/gtest.h>
 
+#include "core/characterized_pipeline.h"
 #include "netlist/generators.h"
 #include "opt/simultaneous.h"
 #include "opt/sizer.h"
@@ -109,4 +110,47 @@ TEST(Simultaneous, RejectsBadInputs) {
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(empty, e.model, e.spec,
                                                    e.latch, so),
                std::invalid_argument);
+}
+
+TEST(Simultaneous, PinnedResultBitwise) {
+  // Golden pin of one solve, captured when each iteration rebuilt the
+  // pipeline model with core::build_pipeline_ssta and walked every Netlist
+  // again for the padded arrivals: the fused per-stage walk must reproduce
+  // the iteration count, area and yield (hexfloats) and every final size
+  // (structural_hash folds each size's bits).
+  Env e(2);
+  sp::opt::SimultaneousOptions so;
+  so.t_target = e.reachable_target(1.10);
+  so.yield_target = 0.80;
+  ASSERT_EQ(so.t_target, 0x1.3273ae51cec5fp+8);
+  const auto r = sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so);
+  EXPECT_TRUE(r.feasible);
+  EXPECT_EQ(r.iterations, 60u);
+  EXPECT_EQ(r.area, 0x1.ef3ffa598aee8p+9);
+  EXPECT_EQ(r.pipeline_yield, 0x1.bd78a9e4e914ap-1);
+  EXPECT_EQ(e.stages[0].structural_hash(), 0xe68c754ce8f769d3ULL);
+  EXPECT_EQ(e.stages[1].structural_hash(), 0x9b15555074a5be95ULL);
+}
+
+TEST(Simultaneous, ZeroIterationsReportsUnchangedPipeline) {
+  // max_iterations == 0 leaves every size alone and reports the pipeline
+  // model of the unchanged stages.
+  Env e(2);
+  const auto before0 = e.stages[0].structural_hash();
+  const auto before1 = e.stages[1].structural_hash();
+  std::vector<const sp::netlist::Netlist*> views(e.ptrs.begin(),
+                                                 e.ptrs.end());
+  const auto pipe =
+      sp::core::build_pipeline_ssta(views, e.model, e.spec, e.latch);
+  sp::opt::SimultaneousOptions so;
+  so.t_target = e.reachable_target(1.10);
+  so.sizer.max_iterations = 0;
+  const auto r = sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.area, pipe.total_area());
+  EXPECT_EQ(r.pipeline_yield, pipe.yield(so.t_target));
+  EXPECT_EQ(e.stages[0].structural_hash(), before0);
+  EXPECT_EQ(e.stages[1].structural_hash(), before1);
 }

@@ -53,7 +53,7 @@ TEST(Sta, CriticalPathEndsAtCriticalOutput) {
   const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
   const auto r = sp::sta::analyze(nl, m);
-  const auto path = r.critical_path(nl, m);
+  const auto path = r.critical_path(nl);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back(), r.critical_output);
   // Path arrival is non-decreasing.
@@ -71,13 +71,25 @@ TEST(Sta, UpsizedCircuitIsFaster) {
   EXPECT_LT(d2, d1);
 }
 
+namespace {
+
+// Sample STA of one die that was sampled alone (site i == gate i).
+double sample_delay(const sp::netlist::Netlist& nl, const AlphaPowerModel& m,
+                    const sp::process::DieSample& die) {
+  std::vector<std::size_t> identity(nl.size());
+  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
+  sp::sta::StaWorkspace ws;
+  return sp::sta::critical_delay_sample(nl, m, die, identity, {}, ws);
+}
+
+}  // namespace
+
 TEST(Sta, SampleWithZeroShiftEqualsNominal) {
   const auto nl = sp::netlist::inverter_chain(6);
   const auto m = model();
   sp::process::DieSample die;  // all-zero shifts
   const auto r0 = sp::sta::analyze(nl, m);
-  const auto r1 = sp::sta::analyze_sample(nl, m, die);
-  EXPECT_NEAR(r0.critical_delay, r1.critical_delay, 1e-12);
+  EXPECT_NEAR(r0.critical_delay, sample_delay(nl, m, die), 1e-12);
 }
 
 TEST(Sta, SlowDieIsSlower) {
@@ -85,8 +97,7 @@ TEST(Sta, SlowDieIsSlower) {
   const auto m = model();
   sp::process::DieSample die;
   die.dvth_inter = 0.040;
-  EXPECT_GT(sp::sta::analyze_sample(nl, m, die).critical_delay,
-            sp::sta::analyze(nl, m).critical_delay);
+  EXPECT_GT(sample_delay(nl, m, die), sp::sta::analyze(nl, m).critical_delay);
 }
 
 TEST(Sta, ThrowsWithoutOutputs) {
@@ -123,10 +134,10 @@ TEST(BlockSta, BitwiseMatchesScalarPerDie) {
       sp::process::BlockWorkspace bws;
       sampler.sample_block_into(lane_rngs.data(), width, block, bws);
 
+      const sp::sta::BlockStage stage(nl, m, site_map, opt);
       sp::sta::StaBlockWorkspace ws;
       std::vector<double> critical(width);
-      sp::sta::critical_delay_sample_block(nl, m, block, site_map, opt, ws,
-                                           critical.data());
+      sp::sta::critical_delay_sample_block(stage, block, ws, critical.data());
 
       for (std::size_t j = 0; j < width; ++j) {
         sp::stats::Rng rng = root.fork(j);
@@ -143,44 +154,6 @@ TEST(BlockSta, BitwiseMatchesScalarPerDie) {
   }
 }
 
-TEST(BlockSta, WorkspaceRebindsAcrossNetlists) {
-  // One workspace streamed across two different stages must rebind its
-  // cached structure (keyed on the netlist/site-map addresses) and still
-  // match the scalar path on both.
-  const auto m = model();
-  const auto nl1 = sp::netlist::inverter_chain(6);
-  const auto nl2 = sp::netlist::inverter_grid(3, 4);
-  const auto spec = VariationSpec::intra_only();
-  const sp::sta::StaOptions opt;
-  sp::sta::StaBlockWorkspace ws;
-
-  for (const auto* nl : {&nl1, &nl2, &nl1}) {
-    const sp::process::VariationSampler sampler(
-        m.technology(), spec, sp::process::linear_sites(nl->size()));
-    std::vector<std::size_t> site_map(nl->size());
-    for (std::size_t i = 0; i < site_map.size(); ++i) site_map[i] = i;
-    const sp::stats::Rng root(7);
-    std::vector<sp::stats::Rng> lane_rngs(4);
-    for (std::size_t j = 0; j < 4; ++j) lane_rngs[j] = root.fork(j);
-    sp::process::DieBlock block;
-    sp::process::BlockWorkspace bws;
-    sampler.sample_block_into(lane_rngs.data(), 4, block, bws);
-    double critical[4];
-    sp::sta::critical_delay_sample_block(*nl, m, block, site_map, opt, ws,
-                                         critical);
-    for (std::size_t j = 0; j < 4; ++j) {
-      sp::stats::Rng rng = root.fork(j);
-      sp::process::DieSample die;
-      sp::process::DieWorkspace dws;
-      sampler.sample_into(rng, die, dws);
-      sp::sta::StaWorkspace sws;
-      EXPECT_EQ(critical[j],
-                sp::sta::critical_delay_sample(*nl, m, die, site_map, opt, sws))
-          << nl->name() << " die " << j;
-    }
-  }
-}
-
 TEST(BlockSta, RejectsBadInputs) {
   const auto m = model();
   const auto nl = sp::netlist::inverter_chain(4);
@@ -192,17 +165,20 @@ TEST(BlockSta, RejectsBadInputs) {
   sp::process::DieBlock block;
   sp::process::BlockWorkspace bws;
   sampler.sample_block_into(lanes.data(), 2, block, bws);
-  sp::sta::StaBlockWorkspace ws;
-  double critical[2];
   const std::vector<std::size_t> short_map(nl.size() - 1, 0);
-  EXPECT_THROW(sp::sta::critical_delay_sample_block(nl, m, block, short_map,
-                                                    {}, ws, critical),
+  EXPECT_THROW((void)sp::sta::BlockStage(nl, m, short_map),
                std::invalid_argument);
-  block.width = 0;
+  sp::netlist::Netlist no_outputs("no_outputs");
+  no_outputs.add_input("a");
+  EXPECT_THROW((void)sp::sta::BlockStage(no_outputs, m, {0}),
+               std::logic_error);
   std::vector<std::size_t> site_map(nl.size());
   for (std::size_t i = 0; i < site_map.size(); ++i) site_map[i] = i;
-  EXPECT_THROW(sp::sta::critical_delay_sample_block(nl, m, block, site_map,
-                                                    {}, ws, critical),
+  const sp::sta::BlockStage stage(nl, m, site_map);
+  sp::sta::StaBlockWorkspace ws;
+  double critical[2];
+  block.width = 0;
+  EXPECT_THROW(sp::sta::critical_delay_sample_block(stage, block, ws, critical),
                std::invalid_argument);
 }
 
