@@ -1,17 +1,21 @@
-// Batched vs. scalar SSTA characterization — the PR-2 inner-loop speedup.
+// One bind per grid vs one bind per config — the SSTA walk's lane batching
+// on the optimizer's inner loop.
 //
 // Workload: the sizer's characteristic access pattern — one stage netlist,
 // K candidate size assignments (a sweep grid), full SSTA characterization
-// per candidate.  The scalar loop pays a netlist copy + topological walk +
-// per-gate structure chasing per candidate; SstaBatch binds the structure
-// once and propagates all K canonical-form lanes in one walk.
+// per candidate.  Both modes run the same bound lane walk (sta::SstaBatch).
+// The per-config loop copies the netlist, binds it and walks one lane per
+// candidate (characterize_ssta); the batch binds the structure once and
+// propagates all K canonical-form lanes in one walk.
 //
 // Prints per-circuit timings (best of kReps) for:
-//   scalar-1t  : copy + characterize_ssta per config, serial
-//   scalar-Nt  : same, fanned out over the shared pool (the pre-PR path)
-//   batch-1t   : SstaBatch::characterize, one shard
-//   batch-Nt   : SstaBatch::characterize, sharded over the pool
-// and verifies the batch results are bitwise-equal to the scalar loop.
+//   per-config-1t : copy + characterize_ssta (bind + one lane) per config,
+//                   serial
+//   per-config-Nt : same, fanned out over the shared pool
+//   batch-1t      : SstaBatch::characterize, one shard
+//   batch-Nt      : SstaBatch::characterize, sharded over the pool
+// and verifies the batch results are bitwise-equal to the per-config loop
+// (K lanes in one walk against one lane per walk); exits nonzero if not.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -77,7 +81,7 @@ int main(int argc, char** argv) {
   }
   bench_util::banner(
       "batched_ssta",
-      "Batched (SstaBatch) vs scalar SSTA characterization, K=32 sweep grid");
+      "SSTA characterization, one bind per K=32 grid vs one per config");
 
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
@@ -85,11 +89,11 @@ int main(int argc, char** argv) {
   bench_util::JsonReport report("batched_ssta");
   report.meta("lanes", static_cast<double>(kLanes));
 
-  bench_util::row({"circuit", "gates", "scalar-1t", "scalar-Nt", "batch-1t",
-                   "batch-Nt", "speedup", "bitwise"});
+  bench_util::row({"circuit", "gates", "per-config-1t", "per-config-Nt",
+                   "batch-1t", "batch-Nt", "speedup", "bitwise"});
   bench_util::csv_begin("batched_ssta",
-                        "circuit,gates,scalar_1t_ms,scalar_nt_ms,batch_1t_ms,"
-                        "batch_nt_ms,speedup_nt,bitwise_equal");
+                        "circuit,gates,per_config_1t_ms,per_config_nt_ms,"
+                        "batch_1t_ms,batch_nt_ms,speedup_nt,bitwise_equal");
 
   bool all_equal = true;
   bool all_faster = true;
@@ -98,19 +102,19 @@ int main(int argc, char** argv) {
     (void)nl.topological_order();
     const auto cfgs = make_grid(nl, spec);
 
-    std::vector<sp::sta::StageCharacterization> scalar(kLanes);
-    const double scalar_1t = best_of([&] {
+    std::vector<sp::sta::StageCharacterization> per_config(kLanes);
+    const double per_config_1t = best_of([&] {
       for (std::size_t k = 0; k < kLanes; ++k) {
         sp::netlist::Netlist work = nl;
         work.set_sizes(cfgs[k].sizes);
-        scalar[k] = sp::sta::characterize_ssta(work, model, spec);
+        per_config[k] = sp::sta::characterize_ssta(work, model, spec);
       }
     });
-    const double scalar_nt = best_of([&] {
+    const double per_config_nt = best_of([&] {
       sp::sim::parallel_for(kLanes, [&](std::size_t k) {
         sp::netlist::Netlist work = nl;
         work.set_sizes(cfgs[k].sizes);
-        scalar[k] = sp::sta::characterize_ssta(work, model, spec);
+        per_config[k] = sp::sta::characterize_ssta(work, model, spec);
       });
     });
 
@@ -124,26 +128,26 @@ int main(int argc, char** argv) {
 
     bool equal = true;
     for (std::size_t k = 0; k < kLanes; ++k)
-      equal = equal && bitwise_eq(scalar[k], batched[k]);
+      equal = equal && bitwise_eq(per_config[k], batched[k]);
     all_equal = all_equal && equal;
-    const double speedup = scalar_nt / batch_nt;
-    all_faster = all_faster && batch_nt < scalar_nt;
+    const double speedup = per_config_nt / batch_nt;
+    all_faster = all_faster && batch_nt < per_config_nt;
 
     bench_util::row({name, std::to_string(nl.gate_count()),
-                     bench_util::fmt(scalar_1t) + "ms",
-                     bench_util::fmt(scalar_nt) + "ms",
+                     bench_util::fmt(per_config_1t) + "ms",
+                     bench_util::fmt(per_config_nt) + "ms",
                      bench_util::fmt(batch_1t) + "ms",
                      bench_util::fmt(batch_nt) + "ms",
                      bench_util::fmt(speedup) + "x", equal ? "yes" : "NO"});
     std::printf("%s,%zu,%.3f,%.3f,%.3f,%.3f,%.2f,%d\n", name, nl.gate_count(),
-                scalar_1t, scalar_nt, batch_1t, batch_nt, speedup,
+                per_config_1t, per_config_nt, batch_1t, batch_nt, speedup,
                 equal ? 1 : 0);
 
     report.row();
     report.col("circuit", name);
     report.col("gates", static_cast<double>(nl.gate_count()));
-    report.col("scalar_1t_ms", scalar_1t);
-    report.col("scalar_nt_ms", scalar_nt);
+    report.col("per_config_1t_ms", per_config_1t);
+    report.col("per_config_nt_ms", per_config_nt);
     report.col("batch_1t_ms", batch_1t);
     report.col("batch_nt_ms", batch_nt);
     report.col("speedup_nt", speedup);
@@ -158,10 +162,12 @@ int main(int argc, char** argv) {
   }
 
   if (!all_equal) {
-    std::printf("FAIL: batched characterization diverged from scalar\n");
+    std::printf("FAIL: batched characterization diverged from the "
+                "per-config loop\n");
     return EXIT_FAILURE;
   }
-  std::printf("batched characterization %s the scalar loop on every circuit\n",
-              all_faster ? "beat" : "did NOT beat");
+  std::printf(
+      "batched characterization %s the per-config loop on every circuit\n",
+      all_faster ? "beat" : "did NOT beat");
   return EXIT_SUCCESS;
 }

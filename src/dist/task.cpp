@@ -73,9 +73,9 @@ UnitRangeRunner make_unit_runner(const RunDescriptor& desc) {
                       const UnitSink& emit) {
       sim::check_shard_range(wl->size_grid.size(), begin, end);
       // Characterize only the assigned lanes: lane results carry no random
-      // state and execute the scalar path's exact floating-point sequence
-      // per lane, so a sub-grid batch is bitwise-identical to the same
-      // lanes of the full local batch under any partitioning.
+      // state and execute the same floating-point sequence at any lane
+      // count, so a sub-grid batch is bitwise-identical to the same lanes
+      // of the full local batch under any partitioning.
       std::vector<std::vector<double>> sub(
           wl->size_grid.begin() + static_cast<std::ptrdiff_t>(begin),
           wl->size_grid.begin() + static_cast<std::ptrdiff_t>(end));

@@ -42,6 +42,15 @@ void criticality_weights(const BoundNetlist& b,
   }
 }
 
+const SizerOptions& checked(const SizerOptions& opt) {
+  if (!(opt.min_size > 0.0 && opt.max_size >= opt.min_size))
+    throw std::invalid_argument(
+        "opt: bad size bounds (need 0 < min_size <= max_size)");
+  if (!(opt.damping > 0.0 && opt.damping <= 1.0))
+    throw std::invalid_argument("opt: damping outside (0,1]");
+  return opt;
+}
+
 }  // namespace
 
 StageLrEngine::StageLrEngine(const netlist::Netlist& nl,
@@ -50,70 +59,52 @@ StageLrEngine::StageLrEngine(const netlist::Netlist& nl,
                              const SizerOptions& opt, double z)
     : model_(model),
       spec_(spec),
-      opt_(opt),
+      opt_(checked(opt)),
       z_(z),
-      b_(nl),
+      ssta_(nl, model, {opt.output_load}),
       sqrt_depth_(std::sqrt(
           static_cast<double>(std::max<std::size_t>(nl.depth(), 1)))),
       x_(nl.sizes()),
-      load_(b_.size(), 0.0),
-      arrival_(b_.size(), 0.0),
-      carrival_(b_.size()),
-      w_(b_.size(), 0.0) {
-  if (b_.outputs().empty())
-    throw std::logic_error("opt: stage netlist has no primary outputs");
-}
+      load_(x_.size(), 0.0),
+      arrival_(x_.size(), 0.0),
+      w_(x_.size(), 0.0) {}
 
 sta::CanonicalDelay StageLrEngine::walk() {
-  // Per gate: the load (cached for the update), then from the same nominal
-  // delay and sigmas both
-  //  - the deterministic arrival padded with the gate's z*sigma share (the
-  //    statistical effect of [3]) that drives the criticality weights, and
-  //  - the canonical SSTA arrival, folded over fanins exactly as
-  //    sta::analyze_ssta folds it.
-  for (GateId id : b_.topo()) {
-    if (b_.pseudo(id)) continue;
-    const device::GateKind kind = b_.kind(id);
-    const double size = x_[id];
-    const double ld = b_.load(id, x_.data(), opt_.output_load);
-    load_[id] = ld;
-    const auto sig = model_.delay_sigmas(kind, size, ld, spec_);
-    const double nominal = model_.nominal_delay(kind, size, ld);
-    double in_arr = 0.0;
-    sta::CanonicalDelay in{};
-    bool first = true;
-    for (GateId f : b_.fanins(id)) {
-      in_arr = std::max(in_arr, arrival_[f]);
-      in = first ? carrival_[f] : sta::canonical_max(in, carrival_[f]);
-      first = false;
-    }
-    arrival_[id] = in_arr + nominal + z_ * sig.total() / sqrt_depth_;
-    carrival_[id] = in + sta::CanonicalDelay{nominal, sig.inter, sig.random,
-                                             sig.systematic};
-  }
-  sta::CanonicalDelay out{};
-  bool first = true;
-  for (GateId o : b_.outputs()) {
-    out = first ? carrival_[o] : sta::canonical_max(out, carrival_[o]);
-    first = false;
-  }
+  // Per gate, from the walk's load, nominal delay and sigmas: the load
+  // (cached for the update) and the deterministic arrival padded with the
+  // gate's z*sigma share (the statistical effect of [3]) that drives the
+  // criticality weights.
+  const BoundNetlist& b = ssta_.bound();
+  const sta::SstaLane lane{x_.data(), &spec_};
+  sta::CanonicalDelay out;
+  ssta_.walk({&lane, 1}, ws_, &out,
+             [&](std::size_t, GateId id, double ld, double nominal,
+                 const auto& sig) {
+               load_[id] = ld;
+               double in_arr = 0.0;
+               for (GateId f : b.fanins(id))
+                 in_arr = std::max(in_arr, arrival_[f]);
+               arrival_[id] =
+                   in_arr + nominal + z_ * sig.total() / sqrt_depth_;
+             });
   return out;
 }
 
 void StageLrEngine::update(double lambda) {
-  criticality_weights(b_, arrival_, opt_.softmax_theta_ps, w_);
+  const BoundNetlist& b = ssta_.bound();
+  criticality_weights(b, arrival_, opt_.softmax_theta_ps, w_);
   const double tau = model_.technology().tau_ps;
-  for (GateId id : b_.topo()) {
-    if (b_.pseudo(id)) continue;
-    const auto& t = device::traits(b_.kind(id));
+  for (GateId id : b.topo()) {
+    if (b.pseudo(id)) continue;
+    const auto& t = device::traits(b.kind(id));
     const double lam_g = lambda * w_[id];
 
     // Pressure from this gate's own delay: lam_g * tau * load / x^2.
     // Pressure from loading predecessors: sum over fanins p of
     //   lam_p * tau * g_le / x_p  (per unit of our size).
     double pred_cost = 0.0;
-    for (GateId f : b_.fanins(id)) {
-      if (b_.pseudo(f)) continue;
+    for (GateId f : b.fanins(id)) {
+      if (b.pseudo(f)) continue;
       pred_cost += lambda * w_[f] * tau * t.logical_effort / x_[f];
     }
     const double denom = t.area + pred_cost;

@@ -8,7 +8,7 @@
 #include "core/characterized_pipeline.h"
 #include "obs/telemetry.h"
 #include "opt/lr_engine.h"
-#include "sta/ssta.h"
+#include "sta/characterize.h"
 
 namespace statpipe::opt {
 
@@ -29,7 +29,9 @@ SimultaneousResult size_pipeline_simultaneous(
   const std::size_t m = stages.size();
   const double z = stats::normal_icdf(opt.yield_target);
 
-  // One LR engine per stage; every gate is padded with the pipeline z.
+  // One LR engine per stage (each checks the sizer's size bounds and
+  // damping before any size changes); every gate is padded with the
+  // pipeline z.
   std::vector<detail::StageLrEngine> engines;
   engines.reserve(m);
   for (auto* s : stages) engines.emplace_back(*s, model, spec, so, z);
@@ -37,17 +39,16 @@ SimultaneousResult size_pipeline_simultaneous(
                                                    stages.end());
 
   // --- pipeline-level statistical timing (the coupling the paper's
-  //     divide-and-conquer flow evaluates incrementally): one fused walk
-  //     per stage.  Its canonical delay is analyze_ssta's, so the model is
-  //     build_pipeline_ssta's at the engines' sizes, bitwise.
+  //     divide-and-conquer flow evaluates incrementally): one walk per
+  //     stage.  Its canonical delay is analyze_ssta's and its split is
+  //     characterize_ssta's, so the model is build_pipeline_ssta's at the
+  //     engines' sizes, bitwise.  (The LR walk does not track the nominal
+  //     critical delay, which the pipeline model does not read.)
   auto walk_pipeline = [&] {
     std::vector<sta::StageCharacterization> cs(m);
-    for (std::size_t s = 0; s < m; ++s) {
-      const sta::CanonicalDelay d = engines[s].walk();
-      cs[s].delay = d.as_gaussian();
-      cs[s].sigma_inter = std::abs(d.b_inter);
-      cs[s].area = engines[s].area();
-    }
+    for (std::size_t s = 0; s < m; ++s)
+      cs[s] = sta::stage_characterization(engines[s].walk(),
+                                          engines[s].area(), 0.0);
     return core::assemble_pipeline(views, cs, latch, spec);
   };
 

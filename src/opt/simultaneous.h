@@ -12,8 +12,9 @@
 //
 // Execution.  Each stage runs the same LR engine as size_stage
 // (opt/lr_engine.h), padded with the pipeline's z.  An iteration is one
-// fused walk per stage — its canonical delay is sta::analyze_ssta's, so
-// the pipeline model assembled from it (core::assemble_pipeline) is
+// SSTA lane walk per stage — its canonical delay is sta::analyze_ssta's
+// and it is split by sta::stage_characterization, so the pipeline model
+// assembled from it (core::assemble_pipeline) is
 // core::build_pipeline_ssta's, bitwise — then one Gauss-Seidel update per
 // stage under the stage's share of the joint multiplier.  Stages are timed
 // at sizer.output_load.  The netlists are written once, with the best

@@ -29,14 +29,10 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
                        const SizerOptions& opt) {
   if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
     throw std::invalid_argument("size_stage: yield_target outside (0,1)");
-  if (opt.min_size <= 0.0 || opt.max_size < opt.min_size)
-    throw std::invalid_argument("size_stage: bad size bounds");
-  if (opt.damping <= 0.0 || opt.damping > 1.0)
-    throw std::invalid_argument("size_stage: damping outside (0,1]");
 
   const double z = stats::normal_icdf(opt.yield_target);
-  // Binds the structure once; the sizes live in the engine until the best
-  // ones are written back.
+  // Binds the structure once and checks the size bounds and damping; the
+  // sizes live in the engine until the best ones are written back.
   detail::StageLrEngine lr(nl, model, spec, opt, z);
 
   // Lagrange multiplier on the delay constraint: scales the criticality

@@ -24,9 +24,9 @@
 //
 // Execution.  size_stage runs one per-stage LR engine (opt/lr_engine.h,
 // shared with size_pipeline_simultaneous): the netlist structure is bound
-// once per call (netlist::BoundNetlist) and each iteration is one fused
-// topological walk — loads, the padded deterministic arrivals and the
-// canonical SSTA arrival together — followed by a serial Gauss-Seidel size
+// once per call (sta::SstaBatch) and each iteration is one SSTA walk over
+// a single lane — whose gate hook also caches the loads and builds the
+// padded deterministic arrivals — followed by a serial Gauss-Seidel size
 // update in topological order.  It makes no thread-pool calls and draws no
 // random numbers, so its result is a pure function of its inputs:
 // thread-count invariant by construction, and safe to run concurrently on

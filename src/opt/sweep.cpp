@@ -77,7 +77,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   // Score the whole candidate grid in one batched SSTA pass: one topological
   // walk, opt.points size lanes.  Stat-delay, area and feasibility are
   // bitwise-equal to what each sizer run reported (its stat delay is the
-  // scalar SSTA of the returned sizes, and feasibility is the same
+  // one-lane walk of the returned sizes, and feasibility is the same
   // tolerance test against the candidate's target).  With opt.grid set the
   // same grid runs on a cluster instead — bitwise-identical either way.
   sta::SstaOptions ssta_opt;
@@ -121,7 +121,7 @@ core::StageFamily stage_family_from_sweep(netlist::Netlist& nl,
 
   // Re-characterize every sweep point in terms of (mu, sigma, inter frac) —
   // one batched SSTA pass over all points (one topological walk, one size
-  // lane per point) instead of a netlist copy + scalar SSTA per point.
+  // lane per point) instead of a netlist copy, bind and walk per point.
   sta::SstaOptions ssta_opt;
   ssta_opt.output_load = opt.sizer.output_load;
   const auto chars =

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sta/ssta_batch.h"
 #include "stats/descriptive.h"
 
 namespace statpipe::sta {
@@ -56,27 +57,25 @@ StageCharacterization characterize_mc(const netlist::Netlist& nl,
   return c;
 }
 
+StageCharacterization stage_characterization(const CanonicalDelay& d,
+                                             double area,
+                                             double nominal_delay) {
+  StageCharacterization c;
+  c.delay = d.as_gaussian();
+  c.sigma_inter = std::abs(d.b_inter);
+  c.sigma_private = std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
+  c.area = area;
+  c.nominal_delay = nominal_delay;
+  return c;
+}
+
 StageCharacterization characterize_ssta(const netlist::Netlist& nl,
                                         const device::AlphaPowerModel& model,
                                         const process::VariationSpec& spec,
                                         const CharacterizeOptions& opt) {
   SstaOptions ssta_opt;
   ssta_opt.output_load = opt.output_load;
-  const CanonicalDelay d = analyze_ssta(nl, model, spec, ssta_opt);
-
-  StaOptions sta_opt;
-  sta_opt.output_load = opt.output_load;
-
-  StageCharacterization c;
-  c.delay = d.as_gaussian();
-  c.sigma_inter = std::abs(d.b_inter);
-  // Systematic is shared within the stage but private across stages (the
-  // spatial field decorrelates between stage placements).
-  c.sigma_private =
-      std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
-  c.area = nl.total_area();
-  c.nominal_delay = analyze(nl, model, sta_opt).critical_delay;
-  return c;
+  return SstaBatch(nl, model, ssta_opt).characterize({{{}, spec}}).front();
 }
 
 }  // namespace statpipe::sta

@@ -25,6 +25,15 @@ struct StageCharacterization {
   double nominal_delay = 0.0;   ///< variation-free critical delay [ps]
 };
 
+/// The stage split of a canonical critical-output delay — the one place a
+/// StageCharacterization is filled from a CanonicalDelay.  The inter-die
+/// coefficient is the shared sigma; the systematic part is shared within
+/// the stage but private across stages (the spatial field decorrelates
+/// between stage placements), so it joins the independent residual.
+StageCharacterization stage_characterization(const CanonicalDelay& d,
+                                             double area,
+                                             double nominal_delay);
+
 struct CharacterizeOptions {
   std::size_t mc_samples = 2000;
   double output_load = 2.0;
@@ -40,7 +49,9 @@ StageCharacterization characterize_mc(const netlist::Netlist& nl,
                                       const CharacterizeOptions& opt = {});
 
 /// Analytical characterization via canonical-form SSTA — orders of
-/// magnitude faster; used inside the sizing optimizer's inner loop.
+/// magnitude faster; used inside the sizing optimizer's inner loop.  One
+/// bound lane of sta::SstaBatch::characterize (the nominal critical delay
+/// rides along in the same walk).
 StageCharacterization characterize_ssta(const netlist::Netlist& nl,
                                         const device::AlphaPowerModel& model,
                                         const process::VariationSpec& spec,

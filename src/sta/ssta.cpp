@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <vector>
 
 namespace statpipe::sta {
 
@@ -63,8 +61,13 @@ CanonicalDelay canonical_max(const CanonicalDelay& a, const CanonicalDelay& b) {
   return reproject_max(a, b, cm);
 }
 
-void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
-                         std::size_t lanes) {
+namespace {
+
+// canonical_max_lanes past one lane, out of line so the one-lane path sets
+// up none of its stack scratch.
+[[gnu::noinline]] void max_lane_chunks(const CanonicalLanes& acc,
+                                       const CanonicalLanes& other,
+                                       std::size_t lanes) {
   // Fixed-size chunks keep the SoA scratch (sigmas, correlations, Clark
   // outputs) on the stack while feeding clark_max_lanes contiguous blocks.
   // Per lane the sequence is exactly canonical_max's: correlation ->
@@ -113,48 +116,14 @@ void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
   }
 }
 
-CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
-                                    netlist::GateId id,
-                                    const device::AlphaPowerModel& model,
-                                    const process::VariationSpec& spec,
-                                    const SstaOptions& opt) {
-  const auto& g = nl.gate(id);
-  if (g.is_pseudo()) return {};
-  const double load = nl.load_of(id, opt.output_load);
-  const auto sig = model.delay_sigmas(g.kind, g.size, load, spec);
-  CanonicalDelay d;
-  d.mu = model.nominal_delay(g.kind, g.size, load);
-  d.b_inter = sig.inter;
-  d.b_sys = sig.systematic;  // stage-wide shared (correlation length >> stage)
-  d.sigma_ind = sig.random;
-  return d;
-}
+}  // namespace
 
-CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
-                            const device::AlphaPowerModel& model,
-                            const process::VariationSpec& spec,
-                            const SstaOptions& opt) {
-  if (nl.outputs().empty())
-    throw std::logic_error("ssta: netlist has no primary outputs");
-  std::vector<CanonicalDelay> arrival(nl.size());
-  for (netlist::GateId id : nl.topological_order()) {
-    const auto& g = nl.gate(id);
-    if (g.is_pseudo()) continue;
-    CanonicalDelay in{};
-    bool first = true;
-    for (netlist::GateId f : g.fanins) {
-      in = first ? arrival[f] : canonical_max(in, arrival[f]);
-      first = false;
-    }
-    arrival[id] = in + gate_canonical_delay(nl, id, model, spec, opt);
-  }
-  CanonicalDelay out{};
-  bool first = true;
-  for (netlist::GateId o : nl.outputs()) {
-    out = first ? arrival[o] : canonical_max(out, arrival[o]);
-    first = false;
-  }
-  return out;
+void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
+                         std::size_t lanes) {
+  if (lanes == 1)  // the scalar operator itself: no chunk or kernel dispatch
+    acc.store(0, canonical_max(acc.load(0), other.load(0)));
+  else
+    max_lane_chunks(acc, other, lanes);
 }
 
 }  // namespace statpipe::sta

@@ -44,7 +44,9 @@ struct CanonicalDelay {
   double sigma() const noexcept;
   stats::Gaussian as_gaussian() const;
 
-  /// Correlation with another canonical delay (shared Z_inter only).
+  /// Correlation with another canonical delay through both shared normals:
+  /// (b_inter*b_inter' + b_sys*b_sys') / (sigma*sigma'), clamped to [-1, 1];
+  /// 0 when either sigma is 0.
   double correlation(const CanonicalDelay& other) const noexcept;
 
   friend CanonicalDelay operator+(const CanonicalDelay& a,
@@ -76,8 +78,9 @@ struct CanonicalLanes {
 
 /// acc[k] = canonical_max(acc[k], other[k]) for every lane — exactly the
 /// scalar operator per lane (bitwise-identical), evaluated over contiguous
-/// lane blocks via stats::clark_max_lanes so one gate visit of the batched
-/// propagation services all K sweep configurations.
+/// lane blocks via stats::clark_max_lanes so one gate visit of the bound
+/// walk (sta::SstaBatch) services all its lanes.  One lane takes the scalar
+/// operator directly.
 void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
                          std::size_t lanes);
 
@@ -85,14 +88,9 @@ struct SstaOptions {
   double output_load = 2.0;
 };
 
-/// Canonical delay of one cell instance under the variation spec.
-CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
-                                    netlist::GateId id,
-                                    const device::AlphaPowerModel& model,
-                                    const process::VariationSpec& spec,
-                                    const SstaOptions& opt = {});
-
-/// Full-netlist SSTA: canonical arrival at the critical output.
+/// Full-netlist SSTA: canonical arrival at the critical output.  One bound
+/// lane of sta::SstaBatch (defined in ssta_batch.cpp), so it binds the
+/// netlist on every call.
 CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
                             const device::AlphaPowerModel& model,
                             const process::VariationSpec& spec,

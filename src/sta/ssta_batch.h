@@ -1,30 +1,34 @@
-// Batched gate-level SSTA: one netlist topology, K sweep configurations,
-// one topological walk.
+// The bound SSTA walk: one netlist topology, L lanes, one topological walk
+// — the only canonical-form propagation in the library.
 //
-// The yield/area optimizer's inner loops (area-delay sweeps, the global
-// optimizer's candidate grids) evaluate the *same* netlist structure under
-// many per-gate size assignments.  The scalar path pays the full structural
-// cost per point: a deep netlist copy, a topological walk, fanin/fanout list
-// chasing and a primary-output membership scan per gate.  SstaBatch binds
-// the structure once and propagates all K configurations together: gate
-// arrival forms are laid out as structure-of-arrays (four K-wide vectors —
-// mu, b_inter, sigma_ind, b_sys — per gate) and every gate visit performs
-// the Clark max/add over all K lanes before moving on.
+// Every SSTA caller runs it.  The yield/area optimizer's candidate grids
+// (area-delay sweeps, the global optimizer's probe grids) run K lanes per
+// walk; analyze_ssta, characterize_ssta and opt::stat_delay run one bound
+// lane; the sizers' LR engine (opt/lr_engine.h) runs one lane per
+// iteration and reads each gate's load and delay through the walk's gate
+// hook.  SstaBatch binds the structure once (netlist::BoundNetlist) and
+// propagates all L lanes together: per gate, the arrival forms are four
+// contiguous L-wide vectors (mu, b_inter, sigma_ind, b_sys), and every gate
+// visit performs the Clark max/add over all L lanes before moving on.
+// L = 1 runs the same code.
 //
-// Determinism contract: per lane, the propagation executes exactly the
-// floating-point sequence of the scalar path, so
+// Determinism contract: per lane, the walk executes exactly the
+// floating-point sequence of the per-gate Netlist reference walk kept in
+// tests/ssta_oracle.h, so
 //
 //   SstaBatch(nl, model, opt).analyze(configs)[k]
-//     == analyze_ssta(nl_with(configs[k].sizes), model, configs[k].spec, opt)
+//     == ssta_oracle::analyze_ssta(nl_with(configs[k].sizes), model,
+//                                  configs[k].spec, opt)
 //
-// bitwise, for every k — and likewise characterize() vs characterize_ssta.
-// Lanes carry no random state, so results are also independent of how the
-// batch is sharded over the sim engine and of the thread count
-// (tests/test_sta.cpp enforces both equalities).
+// bitwise, for every k and any lane count — and likewise characterize()
+// vs ssta_oracle::characterize_ssta.  Lanes carry no random state, so
+// results are also independent of how the batch is sharded over the sim
+// engine and of the thread count (tests/test_sta.cpp enforces all three).
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "device/delay_model.h"
@@ -89,6 +93,20 @@ std::vector<StageCharacterization> characterize_grid(
     const process::VariationSpec& spec, const SstaOptions& opt,
     const GridCharacterizer& hook = {});
 
+/// One lane of a walk: the per-gate sizes it reads (a full vector in
+/// netlist::Netlist::sizes() layout) and the variation spec it is evaluated
+/// under.  Both must outlive the walk.
+struct SstaLane {
+  const double* sizes = nullptr;
+  const process::VariationSpec* spec = nullptr;
+};
+
+/// Lane storage of the walk, reusable across walks: per gate its four
+/// L-wide canonical-form vectors, plus one slot for the fanin fold.
+struct SstaWorkspace {
+  std::vector<double> forms;
+};
+
 class SstaBatch {
  public:
   /// Binds the structural part of `nl` once (netlist::BoundNetlist:
@@ -100,11 +118,23 @@ class SstaBatch {
   SstaBatch(const netlist::Netlist& nl, const device::AlphaPowerModel& model,
             const SstaOptions& opt = {});
 
-  std::size_t gate_count() const noexcept { return bound_.size(); }
+  const netlist::BoundNetlist& bound() const noexcept { return bound_; }
 
-  /// Canonical arrival at the critical output, one entry per config —
-  /// bitwise-identical to one analyze_ssta run per config (see the file
-  /// comment).  Lane blocks fan out over the sim engine per `exec`.
+  /// The walk: propagates every lane through the bound structure and
+  /// writes lane k's canonical arrival at the critical output to out[k].
+  /// Runs on the calling thread; `ws` is resized as needed.
+  ///
+  /// `hook(lane, id, load, nominal, sigmas)` observes every non-pseudo gate
+  /// in topological order, once per lane, with the load, nominal delay and
+  /// device::AlphaPowerModel::DelaySigmas that gate's canonical delay was
+  /// built from; a gate's calls come after those of all its fanins.
+  template <class GateHook>
+  void walk(std::span<const SstaLane> lanes, SstaWorkspace& ws,
+            CanonicalDelay* out, GateHook&& hook) const;
+
+  /// Canonical arrival at the critical output, one entry per config (see
+  /// the file comment).  Lane blocks fan out over the sim engine per
+  /// `exec`; a single block runs on the calling thread.
   std::vector<CanonicalDelay> analyze(const std::vector<SstaConfig>& configs,
                                       const sim::ExecutionOptions& exec) const;
   std::vector<CanonicalDelay> analyze(
@@ -112,9 +142,9 @@ class SstaBatch {
     return analyze(configs, batch_exec(configs.size()));
   }
 
-  /// Full stage characterization per config (delay Gaussian, inter/private
-  /// sigma split, area, nominal critical delay) — bitwise-identical to one
-  /// characterize_ssta run per config.
+  /// Full stage characterization per config: stage_characterization of the
+  /// lane's canonical delay, area, and the nominal critical delay, which
+  /// the same walk computes through its gate hook.
   std::vector<StageCharacterization> characterize(
       const std::vector<SstaConfig>& configs,
       const sim::ExecutionOptions& exec) const;
@@ -124,17 +154,74 @@ class SstaBatch {
   }
 
  private:
-  /// Propagates one contiguous lane block; writes per-lane canonical results
-  /// (and, when `chars` is non-null, full characterizations) at their global
+  /// The loop analyze and characterize share: validates the configs, then
+  /// walks them in lane blocks and writes canonical results to `out` or
+  /// characterizations to `chars` (exactly one non-null) at their global
   /// lane indices.
-  void run_block(const std::vector<SstaConfig>& configs, std::size_t lane_begin,
-                 std::size_t lane_count, CanonicalDelay* out,
-                 StageCharacterization* chars) const;
+  void run(const std::vector<SstaConfig>& configs,
+           const sim::ExecutionOptions& exec, CanonicalDelay* out,
+           StageCharacterization* chars) const;
+  void run_block(const std::vector<SstaConfig>& configs,
+                 std::size_t lane_begin, std::size_t lane_count,
+                 CanonicalDelay* out, StageCharacterization* chars) const;
 
   const device::AlphaPowerModel* model_;
   SstaOptions opt_;
   netlist::BoundNetlist bound_;
   std::vector<double> base_sizes_;  ///< fallback when a config has no sizes
 };
+
+template <class GateHook>
+void SstaBatch::walk(std::span<const SstaLane> lanes, SstaWorkspace& ws,
+                     CanonicalDelay* out, GateHook&& hook) const {
+  using netlist::GateId;
+  const std::size_t L = lanes.size();
+  if (L == 0) return;
+  // Slot s holds [mu | b_inter | sigma_ind | b_sys], each L wide: gate id's
+  // arrival at slot id, the fold accumulator in the slot past the last gate.
+  const std::size_t stride = 4 * L;
+  ws.forms.resize((bound_.size() + 1) * stride);
+  double* const forms = ws.forms.data();
+  auto at = [&](std::size_t slot) -> CanonicalLanes {
+    double* p = forms + slot * stride;
+    return {p, p + L, p + 2 * L, p + 3 * L};
+  };
+  const CanonicalLanes acc = at(bound_.size());
+  // acc = canonical max over `ids`, folded in order (the first copies).
+  auto fold = [&](std::span<const GateId> ids) {
+    const double* first = forms + ids.front() * stride;
+    for (std::size_t i = 0; i < stride; ++i) acc.mu[i] = first[i];
+    for (std::size_t i = 1; i < ids.size(); ++i)
+      canonical_max_lanes(acc, at(ids[i]), L);
+  };
+
+  for (GateId id : bound_.topo()) {
+    const CanonicalLanes dst = at(id);
+    if (bound_.pseudo(id)) {
+      for (std::size_t i = 0; i < stride; ++i) dst.mu[i] = 0.0;
+      continue;
+    }
+    const auto fanins = bound_.fanins(id);
+    if (fanins.empty())
+      for (std::size_t i = 0; i < stride; ++i) acc.mu[i] = 0.0;
+    else
+      fold(fanins);
+    // arrival[id] = in + the gate's canonical delay, per lane.
+    const device::GateKind kind = bound_.kind(id);
+    for (std::size_t k = 0; k < L; ++k) {
+      const double* sizes = lanes[k].sizes;
+      const double load = bound_.load(id, sizes, opt_.output_load);
+      const double nominal = model_->nominal_delay(kind, sizes[id], load);
+      const auto sig =
+          model_->delay_sigmas(kind, sizes[id], load, *lanes[k].spec);
+      dst.store(k, acc.load(k) + CanonicalDelay{nominal, sig.inter,
+                                                sig.random, sig.systematic});
+      hook(k, id, load, nominal, sig);
+    }
+  }
+
+  fold(bound_.outputs());
+  for (std::size_t k = 0; k < L; ++k) out[k] = acc.load(k);
+}
 
 }  // namespace statpipe::sta

@@ -17,6 +17,7 @@
 #include "opt/sweep.h"
 #include "sim/engine.h"
 #include "sta/ssta.h"
+#include "ssta_oracle.h"
 #include "stats/gaussian.h"
 
 namespace sp = statpipe;
@@ -121,7 +122,7 @@ namespace {
 
 /// Test-local replay of the sizer algorithm gate by gate on the nested
 /// Netlist vectors: per iteration a padded-arrival walk with
-/// Netlist::load_of, a separate sta::analyze_ssta for the stat delay,
+/// Netlist::load_of, a separate oracle SSTA walk for the stat delay,
 /// criticality back-propagation over Gate::fanins, and the size update
 /// re-reading load_of — the per-gate reference size_stage's bound, fused
 /// walk must match bitwise.
@@ -154,7 +155,7 @@ sp::opt::SizerResult oracle_size_stage(sp::netlist::Netlist& nl,
       arrival[id] = in_arr + model.nominal_delay(g.kind, g.size, load) +
                     z * sig.total() / sqrt_depth;
     }
-    const auto d = sp::sta::analyze_ssta(nl, model, spec, ssta_opt);
+    const auto d = sp::ssta_oracle::analyze_ssta(nl, model, spec, ssta_opt);
     const double ds = d.mu + z * d.sigma();
     ++result.iterations;
 
@@ -219,7 +220,7 @@ sp::opt::SizerResult oracle_size_stage(sp::netlist::Netlist& nl,
   }
 
   nl.set_sizes(best_sizes);
-  const auto final_d = sp::sta::analyze_ssta(nl, model, spec, ssta_opt);
+  const auto final_d = sp::ssta_oracle::analyze_ssta(nl, model, spec, ssta_opt);
   result.delay = final_d.as_gaussian();
   result.stat_delay = final_d.mu + z * final_d.sigma();
   result.area = nl.total_area();
@@ -317,7 +318,7 @@ TEST(Sizer, ZeroIterationsReportsUnchangedStage) {
   EXPECT_EQ(nl.sizes(), before);
   sp::sta::SstaOptions ssta_opt;
   ssta_opt.output_load = so.output_load;
-  const auto d = sp::sta::analyze_ssta(nl, m, spec, ssta_opt);
+  const auto d = sp::ssta_oracle::analyze_ssta(nl, m, spec, ssta_opt);
   EXPECT_EQ(bits(r.delay.mean), bits(d.mu));
   EXPECT_EQ(bits(r.delay.sigma), bits(d.sigma()));
   EXPECT_EQ(bits(r.area), bits(nl.total_area()));

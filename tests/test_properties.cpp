@@ -9,6 +9,7 @@
 #include "netlist/generators.h"
 #include "opt/sizer.h"
 #include "sta/ssta.h"
+#include "ssta_oracle.h"
 #include "stats/clark.h"
 #include "stats/gaussian.h"
 
@@ -132,6 +133,11 @@ TEST_P(SstaInvariants, SigmaDecomposesAndMeanDominatesNominal) {
   const sp::device::AlphaPowerModel m{sp::process::Technology{}};
   const auto spec = sp::process::VariationSpec::inter_intra(0.02, 0.01, 0.5);
   const auto d = sp::sta::analyze_ssta(nl, m, spec);
+  const auto o = sp::ssta_oracle::analyze_ssta(nl, m, spec);
+  EXPECT_EQ(d.mu, o.mu);
+  EXPECT_EQ(d.b_inter, o.b_inter);
+  EXPECT_EQ(d.sigma_ind, o.sigma_ind);
+  EXPECT_EQ(d.b_sys, o.b_sys);
   // Total variance == sum of component variances.
   EXPECT_NEAR(d.variance(),
               d.b_inter * d.b_inter + d.b_sys * d.b_sys +

@@ -110,6 +110,25 @@ TEST(Simultaneous, RejectsBadInputs) {
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(empty, e.model, e.spec,
                                                    e.latch, so),
                std::invalid_argument);
+
+  // Bad sizer knobs are rejected before any size changes: damping 0 would
+  // run every iteration without moving a size, 1.9 would drive sizes
+  // negative mid-solve.
+  const auto h0 = e.stages[0].structural_hash();
+  const auto h1 = e.stages[1].structural_hash();
+  for (const auto& [damping, min_size] :
+       {std::pair{0.0, 0.5}, std::pair{1.9, 0.5}, std::pair{0.5, 0.0}}) {
+    sp::opt::SimultaneousOptions bad;
+    bad.t_target = 1000.0;
+    bad.sizer.damping = damping;
+    bad.sizer.min_size = min_size;
+    EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, bad),
+                 std::invalid_argument)
+        << "damping " << damping << " min_size " << min_size;
+  }
+  EXPECT_EQ(e.stages[0].structural_hash(), h0);
+  EXPECT_EQ(e.stages[1].structural_hash(), h1);
 }
 
 TEST(Simultaneous, PinnedResultBitwise) {

@@ -6,8 +6,10 @@
 
 #include "device/delay_model.h"
 #include "netlist/generators.h"
+#include "opt/sizer.h"
 #include "process/variation.h"
 #include "sim/engine.h"
+#include "ssta_oracle.h"
 #include "sta/characterize.h"
 #include "sta/ssta.h"
 #include "sta/ssta_batch.h"
@@ -292,11 +294,21 @@ void expect_bitwise_eq(const sp::sta::CanonicalDelay& a,
   EXPECT_EQ(a.b_sys, b.b_sys);
 }
 
+void expect_bitwise_eq(const sp::sta::StageCharacterization& a,
+                       const sp::sta::StageCharacterization& b) {
+  EXPECT_EQ(a.delay.mean, b.delay.mean);
+  EXPECT_EQ(a.delay.sigma, b.delay.sigma);
+  EXPECT_EQ(a.sigma_inter, b.sigma_inter);
+  EXPECT_EQ(a.sigma_private, b.sigma_private);
+  EXPECT_EQ(a.area, b.area);
+  EXPECT_EQ(a.nominal_delay, b.nominal_delay);
+}
+
 }  // namespace
 
 TEST(SstaBatch, GridBitwiseEqualsScalarRuns) {
-  // The PR's core invariant: a K>=8 sweep grid through SstaBatch is
-  // bitwise-identical to K independent analyze_ssta runs.
+  // The core invariant: a K>=8 sweep grid through SstaBatch is
+  // bitwise-identical to K independent runs of the per-gate oracle.
   const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
   const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
@@ -307,7 +319,8 @@ TEST(SstaBatch, GridBitwiseEqualsScalarRuns) {
   for (std::size_t k = 0; k < cfgs.size(); ++k) {
     auto work = nl;
     work.set_sizes(cfgs[k].sizes);
-    expect_bitwise_eq(batch[k], sp::sta::analyze_ssta(work, m, cfgs[k].spec));
+    expect_bitwise_eq(batch[k],
+                      sp::ssta_oracle::analyze_ssta(work, m, cfgs[k].spec));
   }
 }
 
@@ -319,7 +332,7 @@ TEST(SstaBatch, SingleLaneEqualsScalar) {
   const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
   auto work = nl;
   work.set_sizes(cfgs[0].sizes);
-  expect_bitwise_eq(batch[0], sp::sta::analyze_ssta(work, m, spec));
+  expect_bitwise_eq(batch[0], sp::ssta_oracle::analyze_ssta(work, m, spec));
 }
 
 TEST(SstaBatch, EmptySizesUseNetlistSizes) {
@@ -330,8 +343,10 @@ TEST(SstaBatch, EmptySizesUseNetlistSizes) {
   cfgs[0].spec = spec;
   cfgs[1].spec = VariationSpec::inter_only(0.040);
   const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
-  expect_bitwise_eq(batch[0], sp::sta::analyze_ssta(nl, m, cfgs[0].spec));
-  expect_bitwise_eq(batch[1], sp::sta::analyze_ssta(nl, m, cfgs[1].spec));
+  expect_bitwise_eq(batch[0],
+                    sp::ssta_oracle::analyze_ssta(nl, m, cfgs[0].spec));
+  expect_bitwise_eq(batch[1],
+                    sp::ssta_oracle::analyze_ssta(nl, m, cfgs[1].spec));
 }
 
 TEST(SstaBatch, ZeroVarianceLaneIsDegenerateButExact) {
@@ -349,7 +364,8 @@ TEST(SstaBatch, ZeroVarianceLaneIsDegenerateButExact) {
   for (std::size_t k = 0; k < cfgs.size(); ++k) {
     auto work = nl;
     work.set_sizes(cfgs[k].sizes);
-    expect_bitwise_eq(batch[k], sp::sta::analyze_ssta(work, m, cfgs[k].spec));
+    expect_bitwise_eq(batch[k],
+                      sp::ssta_oracle::analyze_ssta(work, m, cfgs[k].spec));
   }
   EXPECT_EQ(batch[2].sigma(), 0.0);
   auto work = nl;
@@ -366,13 +382,8 @@ TEST(SstaBatch, CharacterizeBitwiseEqualsScalar) {
   for (std::size_t k = 0; k < cfgs.size(); ++k) {
     auto work = nl;
     work.set_sizes(cfgs[k].sizes);
-    const auto c = sp::sta::characterize_ssta(work, m, cfgs[k].spec);
-    EXPECT_EQ(chars[k].delay.mean, c.delay.mean);
-    EXPECT_EQ(chars[k].delay.sigma, c.delay.sigma);
-    EXPECT_EQ(chars[k].sigma_inter, c.sigma_inter);
-    EXPECT_EQ(chars[k].sigma_private, c.sigma_private);
-    EXPECT_EQ(chars[k].area, c.area);
-    EXPECT_EQ(chars[k].nominal_delay, c.nominal_delay);
+    expect_bitwise_eq(
+        chars[k], sp::ssta_oracle::characterize_ssta(work, m, cfgs[k].spec));
   }
 }
 
@@ -403,6 +414,47 @@ TEST(SstaBatch, RejectsBadConfigAndMissingOutputs) {
   sp::netlist::Netlist empty("empty");
   empty.add_input("a");
   EXPECT_THROW(sp::sta::SstaBatch(empty, m), std::logic_error);
+}
+
+TEST(SstaBatch, EveryCallerEqualsOracleBitwise) {
+  // Every SSTA entry point runs the one bound walk: analyze_ssta,
+  // characterize_ssta and opt::stat_delay (one lane each) and SstaBatch at
+  // 1 and 9 lanes all reproduce the per-gate oracle bit for bit, under a
+  // live and a zero-variance spec.
+  const auto m = model();
+  VariationSpec frozen;  // every variation source off
+  frozen.sigma_vth_inter = 0.0;
+  frozen.sigma_vth_systematic = 0.0;
+  frozen.enable_rdf = false;
+  const std::vector<sp::netlist::Netlist> circuits = {
+      sp::netlist::iscas_c17(), sp::netlist::iscas_like("c432"),
+      sp::netlist::iscas_like("c3540")};
+  for (const auto& nl : circuits) {
+    for (const auto& spec :
+         {VariationSpec::inter_intra(0.020, 0.010, 0.5), frozen}) {
+      SCOPED_TRACE(nl.name() + (spec.enable_rdf ? " live" : " frozen"));
+      const auto d = sp::ssta_oracle::analyze_ssta(nl, m, spec);
+      expect_bitwise_eq(sp::sta::analyze_ssta(nl, m, spec), d);
+      expect_bitwise_eq(sp::sta::characterize_ssta(nl, m, spec),
+                        sp::ssta_oracle::characterize_ssta(nl, m, spec));
+      EXPECT_EQ(sp::opt::stat_delay(nl, m, spec, 0.95),
+                d.mu + sp::stats::normal_icdf(0.95) * d.sigma());
+
+      const sp::sta::SstaBatch batch(nl, m);
+      for (const std::size_t lanes : {std::size_t{1}, std::size_t{9}}) {
+        const auto cfgs = sweep_grid(nl, lanes, spec);
+        const auto a = batch.analyze(cfgs);
+        const auto c = batch.characterize(cfgs);
+        for (std::size_t k = 0; k < lanes; ++k) {
+          auto work = nl;
+          work.set_sizes(cfgs[k].sizes);
+          expect_bitwise_eq(a[k], sp::ssta_oracle::analyze_ssta(work, m, spec));
+          expect_bitwise_eq(c[k],
+                            sp::ssta_oracle::characterize_ssta(work, m, spec));
+        }
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------- characterization
