@@ -111,7 +111,14 @@ double AlphaPowerModel::DelaySigmas::total() const {
 AlphaPowerModel::DelaySigmas AlphaPowerModel::delay_sigmas(
     GateKind kind, double size, double load_cap,
     const process::VariationSpec& spec) const {
-  const double sens = dvth_sensitivity(kind, size, load_cap);
+  return delay_sigmas_at(nominal_delay(kind, size, load_cap), size, spec);
+}
+
+AlphaPowerModel::DelaySigmas AlphaPowerModel::delay_sigmas_at(
+    double nominal, double size, const process::VariationSpec& spec) const {
+  // dvth_sensitivity's expression, on the caller's nominal delay.
+  const double drive0 = tech_.vdd - tech_.vth0;
+  const double sens = nominal * tech_.alpha / drive0;
   DelaySigmas s;
   s.inter = sens * spec.sigma_vth_inter;
   s.systematic = sens * spec.sigma_vth_systematic;

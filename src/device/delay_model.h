@@ -96,6 +96,11 @@ class AlphaPowerModel {
   };
   DelaySigmas delay_sigmas(GateKind kind, double size, double load_cap,
                            const process::VariationSpec& spec) const;
+  /// The same decomposition from a nominal delay the caller already holds
+  /// (= nominal_delay(kind, size, load_cap)), so a timing walk evaluates
+  /// each gate's nominal delay once.  Bitwise-equal to the form above.
+  DelaySigmas delay_sigmas_at(double nominal, double size,
+                              const process::VariationSpec& spec) const;
 
  private:
   process::Technology tech_;

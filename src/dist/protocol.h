@@ -1,4 +1,4 @@
-// Generic task wire protocol for distributed runs: one coordinator farms
+// Generic task wire protocol for distributed runs: one service farms
 // contiguous UNIT ranges of a task to many workers over TCP.
 //
 // A task is identified by a TaskKind discriminator carried in the
@@ -32,8 +32,9 @@
 //                                       before that request's first kAssign)
 //   service -> worker       kAssign     { u64 unit_begin, u64 unit_end }
 //   worker -> service       kResult     { u64 unit_index, unit payload }
-//                                       (one frame PER UNIT, streamed
-//                                       ascending as units complete)
+//                                       (one frame PER UNIT, streamed as
+//                                       units complete, unit_begin first,
+//                                       then each next unit — no other)
 //   worker -> service       kRangeDone  { u64 unit_begin, u64 unit_end,
 //                                         u64 count }  (commit marker)
 //   worker -> service       kError      { string message }
@@ -53,8 +54,9 @@
 //   service -> client       kError       { string message }
 //
 // Streaming commit semantics: per-unit kResult frames are STAGED by the
-// service and only committed when the range's kRangeDone arrives with
-// the right echo and count — a worker that dies, stalls or turns hostile
+// service (any other unit than the next forfeits the range) and only
+// committed when the range's kRangeDone arrives with the right echo and
+// count — a worker that dies, stalls or turns hostile
 // mid-range forfeits everything it streamed, and the whole range is
 // re-queued (bounded by ServiceOptions::max_attempts).  Committed
 // units fold in ascending unit index with bounded memory — for

@@ -9,10 +9,10 @@
 // variation spec, timing options and all technology parameters.  Two
 // descriptors differing in a single f64 bit therefore hash to different
 // keys and can never alias (tested in tests/test_service.cpp).  The
-// cached value is the request's serialized result blob
-// (serialize_mc_result / serialize_characterizations), whose
-// deserialize∘serialize round-trip is byte-identity — so a cache hit is
-// bitwise-indistinguishable from a recompute (docs/DETERMINISM.md).
+// cached value is the request's result blob (dist/task.h
+// encode_result), whose decode∘encode round-trip is byte-identity — so a
+// cache hit is bitwise-indistinguishable from a recompute
+// (docs/DETERMINISM.md).
 //
 // Eviction is bounded-size LRU driven by a monotonic access sequence
 // counter, NOT clocks: given the same find/insert call sequence the same

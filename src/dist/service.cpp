@@ -77,14 +77,15 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     throw std::invalid_argument(
         "dist: units_per_range " + std::to_string(opt_.units_per_range) +
         " exceeds the plan's " + std::to_string(n_units) + " unit(s)");
-  // With streaming each kResult frame carries ONE unit, so the frame cap
-  // bounds the unit payload, not the range.  Only a single unit too big
-  // for a frame is rejected, up front rather than after a retry cascade.
-  if (task_unit_wire_bytes(desc) + 64 > kMaxFramePayload)
+  // With streaming each kResult frame carries ONE unit (u64 index + unit
+  // payload), so the frame cap bounds the unit, not the range.  Only a
+  // single unit too big for a frame is rejected, up front rather than
+  // after a retry cascade.
+  const std::size_t unit_bytes = task_unit_wire_bytes(desc);
+  if (unit_bytes > kMaxFramePayload - 8)
     throw std::invalid_argument(
-        "dist: samples_per_shard " + std::to_string(desc.samples_per_shard) +
-        " makes a single shard's result exceed the frame payload cap; "
-        "use smaller shards");
+        "dist: a single unit's result (" + std::to_string(unit_bytes) +
+        " bytes) exceeds the frame payload cap; use smaller shards");
   // Fleet-poisoning guard for remote submissions: a descriptor whose
   // workload cannot be built (unknown circuit, hash mismatch, bad grid)
   // would kill every worker it reaches via kError-and-exit.  Building it
@@ -98,12 +99,10 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
   rq.rid = rid;
   rq.client_session = client_session;
   rq.client_id = client_id;
-  rq.desc = std::move(desc);
-  rq.priority = priority;
-  rq.n_units = n_units;
+  rq.kind = desc.task_kind;
   {
     ByteWriter w;
-    write_run_descriptor(w, rq.desc);
+    write_run_descriptor(w, desc);
     rq.desc_bytes = w.take();
   }
   rq.cache_key = sha256(std::span<const std::uint8_t>(rq.desc_bytes.data(),
@@ -129,6 +128,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     return rid;
   }
   if (opt_.cache_max_bytes > 0) rq.metrics.cache_misses = 1;
+  rq.fold.emplace(desc);
 
   const std::size_t per =
       opt_.units_per_range != 0
@@ -139,13 +139,9 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     sched_.enqueue({rid, b, std::min(b + per, n_units), 0});
     ++rq.metrics.ranges;
   }
-  if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-    rq.lanes.resize(n_units);
-    rq.lane_got.assign(n_units, 0);
-  }
   log_line(opt_, "request " + std::to_string(rid) + " (session " +
                      std::to_string(client_session) + ", " +
-                     task_kind_name(rq.desc.task_kind) + ", priority " +
+                     task_kind_name(rq.kind) + ", priority " +
                      std::to_string(priority) + "): " +
                      std::to_string(n_units) + " units in " +
                      std::to_string(rq.metrics.ranges) + " ranges");
@@ -155,53 +151,29 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
 
 void Service::finish_request(Request& rq) {
   rq.status = Request::Status::kDone;
-  sched_.remove_request(rq.rid);  // no-op for a cache hit (never added)
   if (rq.result_blob.empty()) {
-    // Serialize the fold into the canonical blob form — the cache entry,
-    // the client wire payload and (via the byte-identity round-trip) the
-    // local result are all this one byte string.
-    if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-      rq.result_blob = serialize_characterizations(rq.lanes);
-    } else {
-      rq.mc_acc.label = "gate-level MC";
-      rq.result_blob = serialize_mc_result(rq.mc_acc);
-    }
+    // The canonical blob — the cache entry, the client wire payload and
+    // (via the byte-identity round-trip) the local result are all this one
+    // byte string.
+    rq.result_blob = rq.fold->result_blob();
+    rq.fold.reset();
     if (opt_.cache_max_bytes > 0) cache_.insert(rq.cache_key, rq.result_blob);
   }
-  const std::int64_t now = obs::now_ns();
-  rq.metrics.wall_ms = static_cast<double>(now - rq.submit_ns) / 1e6;
-  rq.metrics.workers_admitted = stats_.workers_admitted;
   if (rq.span_t0 > 0 && obs::enabled())
-    obs::record_span(span_request(), rq.span_t0, now,
+    obs::record_span(span_request(), rq.span_t0, obs::now_ns(),
                      static_cast<std::int64_t>(rq.rid));
-  ++stats_.requests_completed;
   log_line(opt_, "request " + std::to_string(rq.rid) + " done (" +
-                     std::to_string(rq.n_units) + " units, " +
+                     std::to_string(rq.metrics.units) + " units, " +
                      (rq.metrics.cache_hits != 0 ? "cache hit" : "computed") +
                      ")");
-  release_request(rq.rid);
-  if (rq.client_session != 0) {
-    for (Peer& p : peers_) {
-      if (p.kind != Peer::Kind::kClient || p.session != rq.client_session ||
-          !p.sock.valid())
-        continue;
-      ByteWriter w;
-      w.u16(static_cast<std::uint16_t>(rq.desc.task_kind));
-      w.u8(rq.metrics.cache_hits != 0 ? 1 : 0);
-      w.u64(static_cast<std::uint64_t>(rq.metrics.queue_wait_ms * 1e6));
-      w.append(rq.result_blob);
-      try {
-        send_frame(p.sock, MsgType::kRequestDone, w.bytes(), auth_, p.session,
-                   rq.client_id);
-      } catch (const std::exception& e) {
-        log_line(opt_, "request " + std::to_string(rq.rid) +
-                           " result undeliverable: " + e.what());
-        p.sock.close();
-      }
-      break;
-    }
-    requests_.erase(rq.rid);  // remote request state is delivered-or-gone
+  ByteWriter w;
+  if (rq.client_session != 0) {  // the kRequestDone payload
+    w.u16(static_cast<std::uint16_t>(rq.kind));
+    w.u8(rq.metrics.cache_hits != 0 ? 1 : 0);
+    w.u64(static_cast<std::uint64_t>(rq.metrics.queue_wait_ms * 1e6));
+    w.append(rq.result_blob);
   }
+  close_request(rq, MsgType::kRequestDone, w.bytes());
 }
 
 void Service::fail_request(std::uint64_t rid, const std::string& why) {
@@ -211,31 +183,35 @@ void Service::fail_request(std::uint64_t rid, const std::string& why) {
   Request& rq = it->second;
   rq.status = Request::Status::kFailed;
   rq.error = why;
-  rq.metrics.wall_ms =
-      static_cast<double>(obs::now_ns() - rq.submit_ns) / 1e6;
-  rq.metrics.workers_admitted = stats_.workers_admitted;
-  sched_.remove_request(rid);
-  ++stats_.requests_completed;
   ++stats_.requests_failed;
   log_line(opt_, "request " + std::to_string(rid) + " FAILED: " + why);
-  release_request(rid);
-  if (rq.client_session != 0) {
-    for (Peer& p : peers_) {
-      if (p.kind != Peer::Kind::kClient || p.session != rq.client_session ||
-          !p.sock.valid())
-        continue;
-      ByteWriter w;
-      w.str(why);
-      try {
-        send_frame(p.sock, MsgType::kError, w.bytes(), auth_, p.session,
-                   rq.client_id);
-      } catch (const std::exception&) {
-        p.sock.close();
-      }
-      break;
+  ByteWriter w;
+  w.str(why);
+  close_request(rq, MsgType::kError, w.bytes());
+}
+
+void Service::close_request(Request& rq, MsgType type,
+                            const std::vector<std::uint8_t>& payload) {
+  rq.metrics.wall_ms = static_cast<double>(obs::now_ns() - rq.submit_ns) / 1e6;
+  rq.metrics.workers_admitted = stats_.workers_admitted;
+  sched_.remove_request(rq.rid);  // no-op for a cache hit (never added)
+  ++stats_.requests_completed;
+  release_request(rq.rid);
+  if (rq.client_session == 0) return;
+  for (Peer& p : peers_) {
+    if (p.kind != Peer::Kind::kClient || p.session != rq.client_session ||
+        !p.sock.valid())
+      continue;
+    try {
+      send_frame(p.sock, type, payload, auth_, p.session, rq.client_id);
+    } catch (const std::exception& e) {
+      log_line(opt_, "request " + std::to_string(rq.rid) +
+                         " outcome undeliverable: " + e.what());
+      p.sock.close();
     }
-    requests_.erase(rid);
+    break;
   }
+  requests_.erase(rq.rid);  // remote request state is delivered-or-gone
 }
 
 void Service::release_request(std::uint64_t rid) {
@@ -338,8 +314,7 @@ void Service::try_assign(Peer& w) {
   }
   w.has_range = true;
   w.task = *t;
-  w.staged_mc.clear();
-  w.staged_lanes.clear();
+  w.staging = UnitStaging(rq.kind, t->begin, t->end);
   w.assign_ns = obs::enabled() ? obs::now_ns() : 0;
   ++rq.metrics.assigns;
   if (rq.metrics.assigns == 1)
@@ -359,13 +334,12 @@ void Service::requeue(Peer& w, const std::string& why) {
     // The worker forfeits the whole range: staged units are part of an
     // uncommitted stream and are discarded with it — a partially streamed
     // range never contributes to the fold (docs/DETERMINISM.md).
-    const std::size_t staged = w.staged_mc.size() + w.staged_lanes.size();
+    const std::size_t staged = w.staging.staged();
     log_line(opt_, "range " + range_str(w.task) + " of request " +
                        std::to_string(w.task.rid) + " lost (" +
                        std::to_string(staged) +
                        " staged unit(s) discarded): " + why);
-    w.staged_mc.clear();
-    w.staged_lanes.clear();
+    w.staging = {};
     const SchedTask task = w.task;
     w.has_range = false;
     auto rit = requests_.find(task.rid);
@@ -395,23 +369,10 @@ void Service::requeue(Peer& w, const std::string& why) {
 void Service::handle_unit(Peer& w, Request& rq, const Frame& f) {
   ByteReader r(f.payload);
   const std::uint64_t unit = r.u64();
-  if (unit < w.task.begin || unit >= w.task.end)
-    throw std::runtime_error("unit " + std::to_string(unit) +
-                             " outside assigned range " + range_str(w.task));
-  const bool dup = rq.desc.task_kind == TaskKind::kSstaGrid
-                       ? w.staged_lanes.count(unit) != 0
-                       : w.staged_mc.count(unit) != 0;
-  if (dup)
-    throw std::runtime_error("duplicate unit " + std::to_string(unit) +
-                             " in result stream");
-  // Decode on receipt, into the worker's staging area: a corrupt payload
-  // forfeits the range within its attempt budget instead of failing the
-  // final fold, and nothing touches the committed fold until kRangeDone.
-  if (rq.desc.task_kind == TaskKind::kSstaGrid)
-    w.staged_lanes.emplace(unit, read_stage_characterization(r));
-  else
-    w.staged_mc.emplace(unit, read_mc_result(r));
-  r.expect_done();
+  // Decode on receipt, into the worker's staging: a corrupt payload or a
+  // unit out of ascending order forfeits the range within its attempt
+  // budget, and nothing touches the committed fold until kRangeDone.
+  w.staging.stage(unit, r);
   ++rq.staged_now;
   rq.metrics.peak_staged_units =
       std::max(rq.metrics.peak_staged_units, rq.staged_now);
@@ -429,38 +390,13 @@ void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
     throw std::runtime_error("range-done echoes [" + std::to_string(begin) +
                              ", " + std::to_string(end) +
                              ") for assignment " + range_str(w.task));
-  const std::size_t staged = rq.desc.task_kind == TaskKind::kSstaGrid
-                                 ? w.staged_lanes.size()
-                                 : w.staged_mc.size();
-  if (count != end - begin || staged != end - begin)
-    throw std::runtime_error(
-        "range-done claims " + std::to_string(count) + " unit(s), " +
-        std::to_string(staged) + " staged, for a range of " +
-        std::to_string(end - begin));
-  // Commit: every unit of the range is present exactly once (membership
-  // and duplicates were enforced at staging, so a full-size staging map
-  // IS the whole range).  MC units enter the pending map and the
-  // contiguous prefix folds immediately; grid lanes place positionally.
-  if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-    for (auto& [unit, lane] : w.staged_lanes) {
-      if (rq.lane_got[unit])
-        throw std::runtime_error("lane " + std::to_string(unit) +
-                                 " committed twice");
-      rq.lanes[unit] = lane;
-      rq.lane_got[unit] = 1;
-      ++rq.lanes_done;
-    }
-    w.staged_lanes.clear();
-  } else {
-    for (auto& [unit, part] : w.staged_mc) {
-      if (unit < rq.folded_prefix || rq.mc_pending.count(unit) != 0)
-        throw std::runtime_error("unit " + std::to_string(unit) +
-                                 " committed twice");
-      rq.mc_pending.emplace(unit, std::move(part));
-    }
-    w.staged_mc.clear();
-    advance_mc_fold(rq);
-  }
+  if (count != end - begin)
+    throw std::runtime_error("range-done claims " + std::to_string(count) +
+                             " unit(s) for a range of " +
+                             std::to_string(end - begin));
+  // Staging accepted only the next ascending unit, so a complete staging
+  // IS the whole range, each unit once; commit throws on an incomplete one.
+  rq.fold->commit(w.staging);
   w.has_range = false;
   rq.staged_now -= end - begin;
   ++rq.metrics.commits;
@@ -477,25 +413,8 @@ void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
   log_line(opt_, "range [" + std::to_string(begin) + ", " +
                      std::to_string(end) + ") of request " +
                      std::to_string(rq.rid) + " committed; " +
-                     std::to_string(rq.done_units()) + "/" +
-                     std::to_string(rq.n_units) + " units");
-}
-
-void Service::advance_mc_fold(Request& rq) {
-  // Left fold in ascending unit order — the identical fold
-  // GateLevelMonteCarlo::run applies locally — consuming the pending map
-  // as long as it extends the contiguous prefix.  Memory stays bounded by
-  // the out-of-order window: a committed range can only wait while some
-  // earlier range is still in flight.
-  auto it = rq.mc_pending.begin();
-  while (it != rq.mc_pending.end() && it->first == rq.folded_prefix) {
-    if (rq.folded_prefix == 0)
-      rq.mc_acc = std::move(it->second);
-    else
-      rq.mc_acc.merge(std::move(it->second));
-    it = rq.mc_pending.erase(it);
-    ++rq.folded_prefix;
-  }
+                     std::to_string(rq.fold->done_units()) + "/" +
+                     std::to_string(rq.metrics.units) + " units");
 }
 
 bool Service::service_worker(Peer& w) {
@@ -537,11 +456,10 @@ bool Service::service_worker(Peer& w) {
           // discard its stream without charging anyone.
         } else if (active) {
           handle_range_done(w, rit->second, *f);
-          if (rit->second.done_units() == rit->second.n_units)
+          if (rit->second.fold->done_units() == rit->second.metrics.units)
             finish_request(rit->second);  // may erase the request
         } else {
-          w.staged_mc.clear();
-          w.staged_lanes.clear();
+          w.staging = {};
           w.has_range = false;
         }
       } catch (const std::exception& e) {
@@ -626,12 +544,6 @@ bool Service::service_client(Peer& p) {
   return true;
 }
 
-bool Service::outstanding_requests() const {
-  for (const auto& [rid, rq] : requests_)
-    if (rq.status == Request::Status::kActive) return true;
-  return false;
-}
-
 void Service::run(const std::function<bool()>& until) {
   while (!until()) {
     // Drop peers whose sockets died outside their service_* call (e.g. a
@@ -662,8 +574,9 @@ void Service::run(const std::function<bool()>& until) {
         const Request& rq = requests_.at(rid);
         fail_request(rid, "dist: no worker progress for " +
                               std::to_string(opt_.idle_timeout_ms) + " ms (" +
-                              std::to_string(rq.done_units()) + "/" +
-                              std::to_string(rq.n_units) + " units done)");
+                              std::to_string(rq.fold->done_units()) + "/" +
+                              std::to_string(rq.metrics.units) +
+                              " units done)");
       }
       continue;
     }
@@ -703,15 +616,10 @@ TaskResult Service::take_local_result(std::uint64_t rid) {
     requests_.erase(it);
     throw std::runtime_error(err);
   }
-  // Deserialize the canonical blob — deserialize ∘ serialize is byte
-  // identity (tested), so this is bitwise the fold (or the cached copy of
-  // an identical earlier fold).
-  TaskResult out;
-  out.kind = rq.desc.task_kind;
-  if (rq.desc.task_kind == TaskKind::kSstaGrid)
-    out.lanes = deserialize_characterizations(rq.result_blob);
-  else
-    out.mc = deserialize_mc_result(rq.result_blob);
+  // Decode the canonical blob — decode ∘ encode is byte identity (tested),
+  // so this is bitwise the fold (or the cached copy of an identical
+  // earlier fold).
+  TaskResult out = decode_result(rq.kind, rq.result_blob);
   requests_.erase(it);
   return out;
 }
@@ -796,7 +704,7 @@ std::uint64_t ServiceClient::submit(const RunDescriptor& desc,
 TaskResult ServiceClient::wait(std::uint64_t id) {
   for (;;) {
     if (auto it = done_.find(id); it != done_.end()) {
-      TaskResult r = std::move(it->second.first);
+      TaskResult r = std::move(it->second);
       done_.erase(it);
       return r;
     }
@@ -822,15 +730,7 @@ TaskResult ServiceClient::wait(std::uint64_t id) {
     RequestInfo info;
     info.cache_hit = r.u8() != 0;
     info.queue_wait_ms = static_cast<double>(r.u64()) / 1e6;
-    const std::vector<std::uint8_t> blob = r.rest();
-    TaskResult result;
-    result.kind = kind;
-    if (kind == TaskKind::kSstaGrid)
-      result.lanes = deserialize_characterizations(blob);
-    else
-      result.mc = deserialize_mc_result(blob);
-    done_.emplace(f->request_id,
-                  std::make_pair(std::move(result), info));
+    done_.emplace(f->request_id, decode_result(kind, r.rest()));
     infos_[f->request_id] = info;
   }
 }

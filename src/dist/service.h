@@ -10,8 +10,8 @@
 //     of captured authenticated frames (the HMAC key is shared, so the
 //     MAC alone cannot tell connections apart);
 //   * REQUESTS — one submitted descriptor each, local (submit_local, the
-//     ClusterHandle path) or remote (kSubmit from a client), with
-//     per-request fold state, RunMetrics, status and result blob;
+//     ClusterHandle path) or remote (kSubmit from a client), with its
+//     UnitFold (dist/task.h), RunMetrics, status and result blob;
 //   * the SCHEDULER (dist/scheduler.h) — priority + per-session
 //     fair-share interleaving of all requests' unit ranges over the
 //     fleet;
@@ -22,9 +22,9 @@
 // Determinism contract, extended PER REQUEST (docs/DETERMINISM.md): the
 // scheduling order of ranges across requests and workers may vary run to
 // run, but every request's result bytes equal its single-process local
-// reference — each request folds its own committed units in ascending
-// unit order exactly as the v3 single-run coordinator did, and streams
-// from different requests never mix (frames are request-scoped).
+// reference — each request's UnitFold (dist/task.h) folds its own
+// committed units in ascending unit order, and streams from different
+// requests never mix (frames are request-scoped).
 //
 // Failure semantics per worker are unchanged from v3: a worker that
 // disconnects, errors, stalls past the read deadline or violates the
@@ -44,7 +44,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -58,7 +57,6 @@
 #include "dist/serialize.h"
 #include "dist/task.h"
 #include "dist/transport.h"
-#include "mc/pipeline_mc.h"
 
 namespace statpipe::dist {
 
@@ -183,33 +181,17 @@ class Service {
     std::uint64_t rid = 0;
     std::uint64_t client_session = 0;  ///< 0 = local submission
     std::uint64_t client_id = 0;       ///< client-facing request id
-    RunDescriptor desc;
+    TaskKind kind{};
     std::vector<std::uint8_t> desc_bytes;  ///< canonical kSetup payload
     Digest cache_key{};
-    std::uint32_t priority = 0;
-    std::size_t n_units = 0;
     enum class Status { kActive, kDone, kFailed } status = Status::kActive;
     std::string error;
-    // Bounded-memory ascending fold state (one per request; the v3
-    // coordinator's, verbatim).  MC: units [0, folded_prefix) live merged
-    // in mc_acc; committed units beyond the prefix wait in mc_pending.
-    // Grid: lanes is the preallocated output, lane_got guards placement.
-    mc::McResult mc_acc;
-    std::size_t folded_prefix = 0;
-    std::map<std::size_t, mc::McResult> mc_pending;
-    std::vector<sta::StageCharacterization> lanes;
-    std::vector<std::uint8_t> lane_got;
-    std::size_t lanes_done = 0;
+    std::optional<UnitFold> fold;  ///< cache miss only
     std::size_t staged_now = 0;  ///< uncommitted staged units, all workers
-    RunMetrics metrics;
+    RunMetrics metrics;          ///< metrics.units is the plan size
     std::int64_t submit_ns = 0;
     std::int64_t span_t0 = 0;  ///< obs request span start (0 = obs off)
     std::vector<std::uint8_t> result_blob;  ///< serialized, for cache/wire
-    std::size_t done_units() const noexcept {
-      return desc.task_kind == TaskKind::kSstaGrid
-                 ? lanes_done
-                 : folded_prefix + mc_pending.size();
-    }
   };
 
   struct Peer {
@@ -221,8 +203,7 @@ class Service {
     SchedTask task;
     std::int64_t assign_ns = 0;
     std::set<std::uint64_t> setup_rids;  ///< requests this worker holds
-    std::map<std::size_t, mc::McResult> staged_mc;
-    std::map<std::size_t, sta::StageCharacterization> staged_lanes;
+    UnitStaging staging;                 ///< units streamed for `task`
     // Client state:
     std::set<std::uint64_t> client_ids;  ///< request ids seen (dup guard)
   };
@@ -234,6 +215,10 @@ class Service {
   /// By rid, not Request&: failing a REMOTE request erases it from
   /// requests_, so callers must not hold a reference across the call.
   void fail_request(std::uint64_t rid, const std::string& why);
+  /// The shared end of both: accounting, worker release and, for a remote
+  /// request, delivery of the outcome frame and erasure.
+  void close_request(Request& rq, MsgType type,
+                     const std::vector<std::uint8_t>& payload);
   void admit_peer();
   void try_assign(Peer& w);
   bool service_worker(Peer& w);
@@ -241,9 +226,7 @@ class Service {
   void handle_unit(Peer& w, Request& rq, const Frame& f);
   void handle_range_done(Peer& w, Request& rq, const Frame& f);
   void requeue(Peer& w, const std::string& why);
-  void advance_mc_fold(Request& rq);
   void release_request(std::uint64_t rid);
-  bool outstanding_requests() const;
 
   ServiceOptions opt_;
   FrameAuth auth_;
@@ -291,7 +274,7 @@ class ServiceClient {
   FrameAuth auth_;
   std::uint64_t session_ = 0;
   std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, std::pair<TaskResult, RequestInfo>> done_;
+  std::map<std::uint64_t, TaskResult> done_;
   std::map<std::uint64_t, RequestInfo> infos_;  ///< survives wait()'s take
   std::map<std::uint64_t, std::string> failed_;
 };

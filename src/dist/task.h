@@ -1,14 +1,15 @@
 // Generic distributed task layer: maps a RunDescriptor's TaskKind to unit
-// planning, unit-range execution and the local reference run.
+// planning, unit-range execution, the fold and the local reference run.
 //
 // A task is a sequence of n_units independent work units (Monte-Carlo
 // shards, SSTA grid lanes).  Workers execute contiguous unit ranges and
 // STREAM one serialized payload per unit, ascending, as units complete
-// (wire v3); the coordinator stages and then folds committed units in
-// ascending index, which reproduces the single-process result bit for
-// bit for every kind (docs/DETERMINISM.md).  This header is the one place
-// that knows how each TaskKind plans, runs and folds; the coordinator,
-// worker loop and transport stay kind-agnostic.
+// (wire v3); the service stages them (UnitStaging) and folds committed
+// ranges in ascending unit index (UnitFold), which reproduces the
+// single-process result bit for bit for every kind (docs/DETERMINISM.md).
+// This header is the one place that knows how each TaskKind plans, runs,
+// folds and encodes its result; the service, worker loop and transport
+// stay kind-agnostic.
 //
 // Layer contract (src/dist, see docs/ARCHITECTURE.md): the distributed
 // execution layer sits on top of mc/sta/sim/stats and may depend on all of
@@ -18,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <span>
 #include <vector>
 
 #include "dist/serialize.h"
@@ -42,15 +45,15 @@ struct TaskResult {
 /// std::invalid_argument with the offending field named.
 std::size_t task_unit_count(const RunDescriptor& desc);
 
-/// Serialized per-unit payload size estimate for frame-budget checks: a
-/// shard's McResult scales with samples_per_shard; a grid lane is a fixed
-/// 48-byte StageCharacterization.
+/// Exact size of the plan's largest serialized unit payload (as emitted by
+/// make_unit_runner, without the kResult unit index) for the frame-cap
+/// check; saturates at SIZE_MAX.
 std::size_t task_unit_wire_bytes(const RunDescriptor& desc);
 
 /// Receives one serialized unit payload as it completes.  The runner calls
 /// the sink once per unit, STRICTLY ASCENDING in unit index over the
 /// assigned range — the contract that lets the worker stream each unit as
-/// its own kResult frame and the coordinator fold a contiguous prefix with
+/// its own kResult frame and the service fold a contiguous prefix with
 /// bounded memory (docs/DETERMINISM.md).
 using UnitSink = std::function<void(std::size_t unit_index,
                                     const std::vector<std::uint8_t>& payload)>;
@@ -76,8 +79,60 @@ UnitRangeRunner make_unit_runner(const RunDescriptor& desc);
 /// SstaBatch::characterize over the whole grid for kSstaGrid.
 TaskResult run_local_task(const RunDescriptor& desc);
 
-/// Bitwise distributed-vs-local acceptance predicate across kinds:
-/// byte equality of the serialized forms of the populated member.
+/// The canonical result blob (serialize_mc_result or
+/// serialize_characterizations) — the one form a result is cached, shipped
+/// and compared in — and its inverse, which throws std::runtime_error on a
+/// corrupt blob or an unknown kind.  decode ∘ encode is byte identity.
+std::vector<std::uint8_t> encode_result(const TaskResult& r);
+TaskResult decode_result(TaskKind kind, std::span<const std::uint8_t> bytes);
+
+/// Acceptance predicate: equal kinds and byte-equal encode_result forms.
 bool bitwise_equal(const TaskResult& a, const TaskResult& b);
+
+/// One worker's staging of one assigned range [begin, end), decoded on
+/// receipt.  Workers emit a range's units ascending and contiguous
+/// (docs/WIRE_FORMAT.md), so stage() accepts only unit begin + staged():
+/// out-of-order, duplicate and out-of-range units, and corrupt payloads
+/// (the reader's remaining bytes), throw std::runtime_error unstaged.
+class UnitStaging {
+ public:
+  UnitStaging() = default;
+  UnitStaging(TaskKind kind, std::size_t begin, std::size_t end)
+      : kind_(kind), begin_(begin), end_(end) {}
+  void stage(std::uint64_t unit, ByteReader& payload);
+  std::size_t staged() const noexcept { return mc_.size() + lanes_.size(); }
+
+ private:
+  friend class UnitFold;
+  TaskKind kind_ = TaskKind::kMonteCarlo;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::vector<mc::McResult> mc_;
+  std::vector<sta::StageCharacterization> lanes_;
+};
+
+/// One request's fold of committed ranges, in any commit order, into the
+/// single-process result.  MC: the contiguous committed prefix is merged
+/// in ascending unit order (GateLevelMonteCarlo::run's left fold); later
+/// units wait in a pending map.  Grid: lanes are placed positionally.
+class UnitFold {
+ public:
+  explicit UnitFold(const RunDescriptor& desc);  ///< throws like task_unit_count
+  std::size_t done_units() const noexcept { return done_; }
+  /// Moves a complete staging of this plan in and empties it; throws
+  /// std::runtime_error, changing nothing, otherwise, when a unit was
+  /// already committed, or when an MC unit's stage count is not the plan's.
+  void commit(UnitStaging& s);
+  /// encode_result of the folded result; std::logic_error until complete.
+  std::vector<std::uint8_t> result_blob();
+
+ private:
+  TaskResult acc_;  ///< MC: the folded prefix; grid: the placed lanes
+  std::vector<std::uint8_t> got_;  ///< per unit: committed
+  std::size_t done_ = 0;
+  std::size_t stages_ = 0;  ///< MC: stage accumulators per unit
+  std::size_t folded_prefix_ = 0;
+  std::map<std::size_t, mc::McResult> pending_;
+};
 
 }  // namespace statpipe::dist

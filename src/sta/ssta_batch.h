@@ -213,7 +213,7 @@ void SstaBatch::walk(std::span<const SstaLane> lanes, SstaWorkspace& ws,
       const double load = bound_.load(id, sizes, opt_.output_load);
       const double nominal = model_->nominal_delay(kind, sizes[id], load);
       const auto sig =
-          model_->delay_sigmas(kind, sizes[id], load, *lanes[k].spec);
+          model_->delay_sigmas_at(nominal, sizes[id], *lanes[k].spec);
       dst.store(k, acc.load(k) + CanonicalDelay{nominal, sig.inter,
                                                 sig.random, sig.systematic});
       hook(k, id, load, nominal, sig);

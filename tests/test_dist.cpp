@@ -27,6 +27,7 @@
 #include "dist/cluster.h"
 #include "dist/hmac.h"
 #include "dist/serialize.h"
+#include "dist/service.h"
 #include "dist/task.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
@@ -355,6 +356,199 @@ TEST(DistEngine, ShardRangeValidatesUpFront) {
   EXPECT_THROW(wl->engine().run_shard_range(desc.n_samples, desc.root_seed,
                                             0, 8, exec),
                std::invalid_argument);
+}
+
+// ------------------------------------------------- task-layer unit fold
+
+namespace {
+
+using Payloads = std::vector<std::vector<std::uint8_t>>;
+
+// Every unit payload of the descriptor's plan, exactly as a worker's
+// runner emits them.
+Payloads all_unit_payloads(const sp::dist::RunDescriptor& desc) {
+  Payloads out(sp::dist::task_unit_count(desc));
+  sp::dist::make_unit_runner(desc)(
+      0, out.size(),
+      [&](std::size_t unit, const std::vector<std::uint8_t>& payload) {
+        out[unit] = payload;
+      });
+  return out;
+}
+
+void stage_unit(sp::dist::UnitStaging& s, const Payloads& p,
+                std::size_t unit) {
+  ByteReader r(p[unit]);
+  s.stage(unit, r);
+}
+
+// Stages [b, e) unit by unit and commits it.
+void commit_range(sp::dist::UnitFold& fold, sp::dist::TaskKind kind,
+                  const Payloads& p, std::size_t b, std::size_t e) {
+  sp::dist::UnitStaging s(kind, b, e);
+  for (std::size_t u = b; u < e; ++u) stage_unit(s, p, u);
+  fold.commit(s);
+}
+
+}  // namespace
+
+TEST(TaskFold, ReverseAndInterleavedCommitsFoldToLocalBitwise) {
+  for (const auto& desc :
+       {small_descriptor("c432", 1000, 128), grid_descriptor("c432", 8)}) {
+    const auto kind = desc.task_kind;
+    SCOPED_TRACE(sp::dist::task_kind_name(kind));
+    const Payloads p = all_unit_payloads(desc);
+    ASSERT_EQ(p.size(), 8u);
+    const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
+
+    // Reverse commit order: every range waits on the ones before it.
+    sp::dist::UnitFold reverse(desc);
+    commit_range(reverse, kind, p, 5, 8);
+    commit_range(reverse, kind, p, 3, 5);
+    EXPECT_EQ(reverse.done_units(), 5u);
+    commit_range(reverse, kind, p, 0, 3);
+    EXPECT_EQ(reverse.done_units(), 8u);
+    EXPECT_EQ(reverse.result_blob(), sp::dist::encode_result(local));
+
+    // Three ranges staged concurrently, unit by unit in turn, committed
+    // middle, last, first — the service's many-worker interleaving.
+    sp::dist::UnitFold inter(desc);
+    sp::dist::UnitStaging a(kind, 0, 2), b(kind, 2, 5), c(kind, 5, 8);
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (i < 2) stage_unit(a, p, i);
+      stage_unit(b, p, 2 + i);
+      stage_unit(c, p, 5 + i);
+    }
+    inter.commit(b);
+    inter.commit(c);
+    EXPECT_THROW((void)inter.result_blob(), std::logic_error);
+    inter.commit(a);
+    EXPECT_TRUE(sp::dist::bitwise_equal(
+        sp::dist::decode_result(kind, inter.result_blob()), local));
+  }
+}
+
+TEST(TaskFold, StagingAcceptsOnlyTheNextAscendingUnit) {
+  const auto desc = grid_descriptor("c432", 8);
+  const auto kind = desc.task_kind;
+  const Payloads p = all_unit_payloads(desc);
+  sp::dist::UnitFold fold(desc);
+  sp::dist::UnitStaging s(kind, 2, 5);
+  EXPECT_THROW(stage_unit(s, p, 3), std::runtime_error);  // out of order
+  EXPECT_THROW(stage_unit(s, p, 1), std::runtime_error);  // below the range
+  stage_unit(s, p, 2);
+  EXPECT_THROW(stage_unit(s, p, 2), std::runtime_error);  // duplicate
+  EXPECT_THROW(stage_unit(s, p, 4), std::runtime_error);  // skips unit 3
+  stage_unit(s, p, 3);
+  stage_unit(s, p, 4);
+  EXPECT_THROW(stage_unit(s, p, 5), std::runtime_error);  // past the end
+  EXPECT_EQ(s.staged(), 3u);
+  // Incomplete, out-of-plan and wrong-kind stagings cannot commit.
+  sp::dist::UnitStaging partial(kind, 0, 2);
+  stage_unit(partial, p, 0);
+  EXPECT_THROW(fold.commit(partial), std::runtime_error);
+  sp::dist::UnitStaging beyond(kind, 7, 9);  // the plan has units 0..7
+  stage_unit(beyond, p, 7);
+  ByteReader lane7(p[7]);
+  beyond.stage(8, lane7);
+  EXPECT_THROW(fold.commit(beyond), std::runtime_error);
+  sp::dist::UnitStaging mc(sp::dist::TaskKind::kMonteCarlo, 2, 5);
+  EXPECT_THROW(fold.commit(mc), std::runtime_error);
+  fold.commit(s);
+  EXPECT_EQ(fold.done_units(), 3u);
+}
+
+TEST(TaskFold, RangeCommittedTwiceIsRejected) {
+  for (const auto& desc :
+       {small_descriptor("c432", 1024, 128), grid_descriptor("c432", 8)}) {
+    const auto kind = desc.task_kind;
+    SCOPED_TRACE(sp::dist::task_kind_name(kind));
+    const Payloads p = all_unit_payloads(desc);
+    sp::dist::UnitFold fold(desc);
+    commit_range(fold, kind, p, 4, 8);  // MC: waits beyond the prefix
+    EXPECT_THROW(commit_range(fold, kind, p, 4, 8), std::runtime_error);
+    EXPECT_THROW(commit_range(fold, kind, p, 3, 5), std::runtime_error);
+    commit_range(fold, kind, p, 0, 2);  // MC: folds into the prefix
+    EXPECT_THROW(commit_range(fold, kind, p, 0, 2), std::runtime_error);
+    EXPECT_EQ(fold.done_units(), 6u);
+    commit_range(fold, kind, p, 2, 4);  // the rejections changed nothing
+    EXPECT_EQ(fold.result_blob(),
+              sp::dist::encode_result(sp::dist::run_local_task(desc)));
+  }
+}
+
+TEST(TaskFold, CorruptPayloadThrowsAtStagingNotAtFinish) {
+  for (const auto& desc :
+       {small_descriptor("c432", 512, 128), grid_descriptor("c432", 4)}) {
+    SCOPED_TRACE(sp::dist::task_kind_name(desc.task_kind));
+    const Payloads p = all_unit_payloads(desc);
+    sp::dist::UnitFold fold(desc);
+    sp::dist::UnitStaging s(desc.task_kind, 0, p.size());
+    std::vector<std::uint8_t> truncated = p[0];
+    truncated.pop_back();
+    std::vector<std::uint8_t> trailing = p[0];
+    trailing.push_back(0);
+    for (const auto& bad : {truncated, trailing}) {
+      ByteReader r(bad);
+      EXPECT_THROW(s.stage(0, r), std::runtime_error);
+    }
+    EXPECT_EQ(s.staged(), 0u);  // a rejected unit is never staged
+    if (desc.task_kind == sp::dist::TaskKind::kMonteCarlo) {
+      // Parseable but inconsistent: one stage accumulator too many.  The
+      // commit is refused whole, so the fold stays clean for the retry.
+      ByteReader r(p[1]);
+      sp::mc::McResult extra = sp::dist::read_mc_result(r);
+      extra.stage_stats.push_back(extra.stage_stats.front());
+      ByteWriter w;
+      sp::dist::write_mc_result(w, extra);
+      const std::vector<std::uint8_t> bytes = w.take();
+      sp::dist::UnitStaging bad(desc.task_kind, 0, 2);
+      stage_unit(bad, p, 0);
+      ByteReader rb(bytes);
+      bad.stage(1, rb);
+      EXPECT_THROW(fold.commit(bad), std::runtime_error);
+      EXPECT_EQ(fold.done_units(), 0u);
+    }
+    for (std::size_t u = 0; u < p.size(); ++u) stage_unit(s, p, u);
+    fold.commit(s);
+    EXPECT_EQ(fold.result_blob(),
+              sp::dist::encode_result(sp::dist::run_local_task(desc)));
+  }
+}
+
+TEST(TaskFold, UnitWireBytesEqualsARealUnitPayload) {
+  for (const auto& desc :
+       {small_descriptor("c432", 1000, 128),       // last shard shorter
+        small_descriptor("c432,c880", 100, 4096),  // one short shard
+        grid_descriptor("c432", 3)}) {
+    SCOPED_TRACE(desc.workload + " n=" + std::to_string(desc.n_samples));
+    std::size_t largest = 0;
+    for (const auto& payload : all_unit_payloads(desc))
+      largest = std::max(largest, payload.size());
+    EXPECT_EQ(sp::dist::task_unit_wire_bytes(desc), largest);
+  }
+}
+
+TEST(TaskFold, FrameCapAdmissionUsesTheExactUnitSize) {
+  // One c432 shard of m samples serializes to 64 + 8m bytes and travels
+  // behind an 8-byte unit index, so m = (cap - 72) / 8 is the largest
+  // shard that fits one kResult frame.  Submission only plans: nothing
+  // runs and no sample is allocated.
+  const std::uint64_t fits = (sp::dist::kMaxFramePayload - 72) / 8;
+  sp::dist::Service svc(sp::dist::ServiceOptions{});
+  auto at = [](std::uint64_t n, std::uint64_t per_shard) {
+    auto d = small_descriptor("c432", 1024, 128);
+    d.n_samples = n;
+    d.samples_per_shard = per_shard;
+    return d;
+  };
+  EXPECT_EQ(sp::dist::task_unit_wire_bytes(at(fits, fits)) + 8,
+            sp::dist::kMaxFramePayload);
+  EXPECT_NO_THROW((void)svc.submit_local(at(fits, fits)));
+  EXPECT_THROW((void)svc.submit_local(at(fits + 1, fits + 1)),
+               std::invalid_argument);
+  // A small run with a huge shard size is one small shard.
+  EXPECT_NO_THROW((void)svc.submit_local(at(1024, std::uint64_t{1} << 40)));
 }
 
 // ---------------------------------------------------- cluster handle/CLI
