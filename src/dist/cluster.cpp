@@ -98,9 +98,7 @@ TaskResult ClusterHandle::submit(const RunDescriptor& desc,
   svc_.run([&] { return svc_.local_done(rid); });
   // Snapshot before take: taking (or rethrowing a failure) consumes the
   // request, and the caller gets its accounting either way.
-  const RunMetrics m = svc_.local_metrics(rid);
-  if (metrics != nullptr) *metrics = m;
-  if (opt_.on_metrics) opt_.on_metrics(m);
+  if (metrics != nullptr) *metrics = svc_.local_metrics(rid);
   return svc_.take_local_result(rid);
 }
 

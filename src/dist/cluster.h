@@ -21,7 +21,6 @@
 #include <sys/types.h>
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,10 +39,6 @@ struct ClusterOptions {
   /// workers dial in from outside against ClusterHandle::port().
   std::size_t spawn_workers = 0;
   std::string worker_bin;  ///< required when spawn_workers > 0
-  /// Called once per completed request with its RunMetrics — how callers
-  /// that submit many requests (grid_characterizer makes one per grid)
-  /// aggregate accounting.
-  std::function<void(const RunMetrics&)> on_metrics;
 };
 
 /// Forks one statpipe-worker process against `port` (posix_spawn).  A
@@ -98,7 +93,8 @@ class ClusterHandle {
   /// turned away instead of hanging in its setup read.
   void drain_backlog() { svc_.drain_backlog(); }
 
-  /// Service-wide totals (cache hits, per-session fair-share units, ...).
+  /// Service-wide totals: every closed request's RunMetrics folded into
+  /// `totals`, admissions, per-session fair-share units, ...
   ServiceStats stats() const { return svc_.stats(); }
 
   /// Sends kShutdown to every connected worker and reaps the spawned

@@ -1,6 +1,5 @@
 #include "dist/result_cache.h"
 
-#include <span>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -9,14 +8,6 @@ namespace statpipe::dist {
 
 namespace {
 
-obs::Counter& c_hits() {
-  static obs::Counter c("dist.service.cache.hits");
-  return c;
-}
-obs::Counter& c_misses() {
-  static obs::Counter c("dist.service.cache.misses");
-  return c;
-}
 obs::Counter& c_evictions() {
   static obs::Counter c("dist.service.cache.evictions");
   return c;
@@ -24,23 +15,10 @@ obs::Counter& c_evictions() {
 
 }  // namespace
 
-Digest ResultCache::key_for(const RunDescriptor& desc) {
-  ByteWriter w;
-  write_run_descriptor(w, desc);
-  return sha256(std::span<const std::uint8_t>(w.bytes().data(),
-                                              w.bytes().size()));
-}
-
 const std::vector<std::uint8_t>* ResultCache::find(const Digest& key) {
   auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    c_misses().add();
-    return nullptr;
-  }
+  if (it == entries_.end()) return nullptr;
   it->second.last_used = ++seq_;
-  ++hits_;
-  c_hits().add();
   return &it->second.blob;
 }
 

@@ -16,8 +16,9 @@
 //
 // Eviction is bounded-size LRU driven by a monotonic access sequence
 // counter, NOT clocks: given the same find/insert call sequence the same
-// entries are evicted, every time.  Hit/miss/eviction totals feed the
-// dist.service.cache.* obs counters (docs/OBSERVABILITY.md).
+// entries are evicted, every time.  Hits and misses are tallied per
+// request in RunMetrics (dist/service.h); evictions, seen only here, feed
+// dist.service.cache.evictions (docs/OBSERVABILITY.md).
 //
 // Layer contract (src/dist, see docs/ARCHITECTURE.md): the distributed
 // execution layer sits on top of mc/sta/sim/stats and may depend on all of
@@ -27,10 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "dist/hmac.h"
-#include "dist/serialize.h"
 
 namespace statpipe::dist {
 
@@ -40,13 +41,15 @@ class ResultCache {
   /// entirely (every find misses, every insert is dropped).
   explicit ResultCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
-  /// Cache key: SHA-256 over the canonical descriptor bytes (which include
-  /// root_seed — the full (descriptor, root_seed) identity of a run).
-  static Digest key_for(const RunDescriptor& desc);
+  /// Cache key: SHA-256 over the canonical write_run_descriptor bytes
+  /// (root_seed included — the full (descriptor, root_seed) identity).
+  static Digest key_for(std::span<const std::uint8_t> desc_bytes) {
+    return sha256(desc_bytes);
+  }
 
-  /// Borrowed pointer to the cached blob, nullptr on miss.  Counts one
-  /// hit or miss and refreshes the entry's LRU rank.  The pointer is
-  /// invalidated by the next insert().
+  /// Borrowed pointer to the cached blob, nullptr on miss.  A hit
+  /// refreshes the entry's LRU rank.  The pointer is invalidated by the
+  /// next insert().
   const std::vector<std::uint8_t>* find(const Digest& key);
 
   /// Stores a blob under `key`, evicting least-recently-used entries until
@@ -56,8 +59,6 @@ class ResultCache {
 
   std::size_t entries() const noexcept { return entries_.size(); }
   std::size_t size_bytes() const noexcept { return bytes_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
@@ -72,8 +73,6 @@ class ResultCache {
   std::size_t max_bytes_ = 0;
   std::size_t bytes_ = 0;
   std::uint64_t seq_ = 0;  ///< access counter — deterministic LRU clock
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
 };
 

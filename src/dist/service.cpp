@@ -32,7 +32,30 @@ std::string range_str(const SchedTask& t) {
   return "[" + std::to_string(t.begin) + ", " + std::to_string(t.end) + ")";
 }
 
+std::uint64_t us_since(std::int64_t t0_ns) {
+  return static_cast<std::uint64_t>(obs::now_ns() - t0_ns) / 1000;
+}
+
+// One obs counter per kRunMetricFields entry, in table order.
+const std::vector<obs::Counter>& metric_counters() {
+  static const std::vector<obs::Counter> counters = [] {
+    std::vector<obs::Counter> v;
+    for (const MetricField& f : kRunMetricFields) v.emplace_back(f.name);
+    return v;
+  }();
+  return counters;
+}
+
 }  // namespace
+
+std::string metrics_summary(const RunMetrics& m) {
+  std::string out;
+  for (const MetricField& f : kRunMetricFields) {
+    if (!out.empty()) out += ' ';
+    out += std::string(f.name) + "=" + std::to_string(m.*f.field);
+  }
+  return out;
+}
 
 Service::Service(ServiceOptions opt)
     : opt_(std::move(opt)),
@@ -105,8 +128,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     write_run_descriptor(w, desc);
     rq.desc_bytes = w.take();
   }
-  rq.cache_key = sha256(std::span<const std::uint8_t>(rq.desc_bytes.data(),
-                                                      rq.desc_bytes.size()));
+  rq.cache_key = ResultCache::key_for(rq.desc_bytes);
   rq.submit_ns = obs::now_ns();
   rq.span_t0 = obs::enabled() ? rq.submit_ns : 0;
   rq.metrics.units = n_units;
@@ -170,7 +192,7 @@ void Service::finish_request(Request& rq) {
   if (rq.client_session != 0) {  // the kRequestDone payload
     w.u16(static_cast<std::uint16_t>(rq.kind));
     w.u8(rq.metrics.cache_hits != 0 ? 1 : 0);
-    w.u64(static_cast<std::uint64_t>(rq.metrics.queue_wait_ms * 1e6));
+    w.u64(rq.metrics.queue_wait_us * 1000);  // the wire carries ns
     w.append(rq.result_blob);
   }
   close_request(rq, MsgType::kRequestDone, w.bytes());
@@ -192,8 +214,22 @@ void Service::fail_request(std::uint64_t rid, const std::string& why) {
 
 void Service::close_request(Request& rq, MsgType type,
                             const std::vector<std::uint8_t>& payload) {
-  rq.metrics.wall_ms = static_cast<double>(obs::now_ns() - rq.submit_ns) / 1e6;
-  rq.metrics.workers_admitted = stats_.workers_admitted;
+  rq.metrics.wall_us = us_since(rq.submit_ns);
+  rq.metrics.workers_connected = static_cast<std::uint64_t>(
+      std::count_if(peers_.begin(), peers_.end(), [](const Peer& p) {
+        return p.kind == Peer::Kind::kWorker && p.sock.valid();
+      }));
+  // Request-scoped obs counters land here, once per request, by the same
+  // rise as their totals field.
+  for (std::size_t i = 0; i < std::size(kRunMetricFields); ++i) {
+    const MetricField& f = kRunMetricFields[i];
+    std::uint64_t& total = stats_.totals.*f.field;
+    const std::uint64_t v = rq.metrics.*f.field;
+    const std::uint64_t rise =
+        f.fold == MetricField::kSum ? v : std::max(v, total) - total;
+    total += rise;
+    metric_counters()[i].add(rise);
+  }
   sched_.remove_request(rq.rid);  // no-op for a cache hit (never added)
   ++stats_.requests_completed;
   release_request(rq.rid);
@@ -317,12 +353,8 @@ void Service::try_assign(Peer& w) {
   w.staging = UnitStaging(rq.kind, t->begin, t->end);
   w.assign_ns = obs::enabled() ? obs::now_ns() : 0;
   ++rq.metrics.assigns;
-  if (rq.metrics.assigns == 1)
-    rq.metrics.queue_wait_ms =
-        static_cast<double>(obs::now_ns() - rq.submit_ns) / 1e6;
+  if (rq.metrics.assigns == 1) rq.metrics.queue_wait_us = us_since(rq.submit_ns);
   if (t->attempts > 1) ++rq.metrics.retries;
-  static obs::Counter c_assigns("dist.assigns");
-  c_assigns.add();
   log_line(opt_, "assigned units " + range_str(*t) + " of request " +
                      std::to_string(t->rid) + " to session " +
                      std::to_string(w.session) + " attempt " +
@@ -330,6 +362,9 @@ void Service::try_assign(Peer& w) {
 }
 
 void Service::requeue(Peer& w, const std::string& why) {
+  // Closed first, so a request this forfeit fails does not count the
+  // dropped worker as connected.
+  w.sock.close();
   if (w.has_range) {
     // The worker forfeits the whole range: staged units are part of an
     // uncommitted stream and are discarded with it — a partially streamed
@@ -349,10 +384,6 @@ void Service::requeue(Peer& w, const std::string& why) {
       ++rq.metrics.forfeits;
       rq.metrics.units_discarded += staged;
       rq.staged_now -= staged;
-      static obs::Counter c_requeues("dist.requeues");
-      c_requeues.add();
-      static obs::Counter c_discarded("dist.units_discarded");
-      c_discarded.add(staged);
       if (task.attempts >= opt_.max_attempts)
         // Exhausting the budget fails the REQUEST, never the service.
         fail_request(task.rid,
@@ -363,7 +394,6 @@ void Service::requeue(Peer& w, const std::string& why) {
         sched_.requeue_front(task);
     }
   }
-  w.sock.close();
 }
 
 void Service::handle_unit(Peer& w, Request& rq, const Frame& f) {
@@ -375,9 +405,7 @@ void Service::handle_unit(Peer& w, Request& rq, const Frame& f) {
   w.staging.stage(unit, r);
   ++rq.staged_now;
   rq.metrics.peak_staged_units =
-      std::max(rq.metrics.peak_staged_units, rq.staged_now);
-  static obs::Counter c_staged("dist.units_staged");
-  c_staged.add();
+      std::max<std::uint64_t>(rq.metrics.peak_staged_units, rq.staged_now);
 }
 
 void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
@@ -400,10 +428,7 @@ void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
   w.has_range = false;
   rq.staged_now -= end - begin;
   ++rq.metrics.commits;
-  static obs::Counter c_commits("dist.commits");
-  c_commits.add();
-  static obs::Counter c_units("dist.units_committed");
-  c_units.add(end - begin);
+  rq.metrics.units_committed += end - begin;
   // Assign→commit latency for this range, closed across call sites via
   // record_span (the RAII form cannot straddle the event loop).
   if (w.assign_ns > 0 && obs::enabled())
@@ -662,8 +687,6 @@ void Service::drain_backlog() {
 
 ServiceStats Service::stats() const {
   ServiceStats s = stats_;
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
   s.cache_evictions = cache_.evictions();
   s.scheduled_requests = sched_.request_count();
   for (std::uint64_t session : sched_.sessions())

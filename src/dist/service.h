@@ -87,39 +87,71 @@ struct ServiceOptions {
   bool verbose = false;  ///< progress lines on stderr
 };
 
-/// Always-on per-REQUEST accounting, surfaced by Service::local_metrics /
-/// ClusterHandle::submit (out-param and on_metrics hook), and shipped to
-/// remote clients inside kRequestDone (queue wait + cache flag).  Plain
-/// counters on the event-loop control path — deterministic except the
-/// wall-clock fields — so they are safe to report unconditionally, unlike
-/// the obs counters which only accumulate while telemetry is enabled.
+/// Always-on per-REQUEST accounting, the one tally of every per-request
+/// dist event (Service::local_metrics, ClusterHandle::submit's out-param;
+/// queue wait + cache flag also travel in kRequestDone).  Plain counters
+/// on the event-loop control path, so safe to report unconditionally.
+/// Every other view reads it through kRunMetricFields.
 struct RunMetrics {
-  std::size_t units = 0;            ///< plan size (task units)
-  std::size_t ranges = 0;           ///< ranges the plan was cut into
-  std::size_t assigns = 0;          ///< kAssign frames sent
-  std::size_t commits = 0;          ///< ranges committed via kRangeDone
-  std::size_t retries = 0;          ///< assignments beyond a range's first
-  std::size_t forfeits = 0;         ///< in-flight ranges lost to dead peers
-  std::size_t units_discarded = 0;  ///< staged units thrown away on forfeit
-  std::size_t peak_staged_units = 0;  ///< high-water uncommitted staging
-  std::size_t workers_admitted = 0;   ///< fleet size when the request ended
-  double wall_ms = 0.0;             ///< submit to completion
-  double queue_wait_ms = 0.0;       ///< submit to first range assignment
-  std::size_t cache_hits = 0;       ///< 1 when served from the result cache
-  std::size_t cache_misses = 0;     ///< 1 when computed (and then cached)
+  std::uint64_t units = 0;            ///< plan size (task units)
+  std::uint64_t ranges = 0;           ///< ranges the plan was cut into
+  std::uint64_t assigns = 0;          ///< kAssign frames sent
+  std::uint64_t retries = 0;          ///< assignments beyond a range's first
+  std::uint64_t commits = 0;          ///< ranges committed via kRangeDone
+  std::uint64_t units_committed = 0;  ///< units in those ranges
+  std::uint64_t forfeits = 0;         ///< in-flight ranges lost to dead peers
+  std::uint64_t units_discarded = 0;  ///< staged units thrown away on forfeit
+  std::uint64_t peak_staged_units = 0;  ///< high-water uncommitted staging
+  std::uint64_t workers_connected = 0;  ///< live workers when it closed
+  std::uint64_t queue_wait_us = 0;    ///< submit to first range assignment
+  std::uint64_t wall_us = 0;          ///< submit to close
+  std::uint64_t cache_hits = 0;       ///< 1 when served from the result cache
+  std::uint64_t cache_misses = 0;     ///< 1 when computed (and then cached)
 };
 
-/// Service-wide totals, readable between run() calls (ClusterHandle and
-/// the --serve CLI print them).
+/// One RunMetrics field under its one public name (its obs counter and its
+/// key on statpipe-run's summary lines) and its fold across requests: a
+/// sum, or the maximum for peaks and gauges.  When a request closes the
+/// service folds it into ServiceStats::totals and raises each counter by
+/// what its totals field rose, so counters and totals read the same.
+struct MetricField {
+  const char* name;
+  std::uint64_t RunMetrics::*field;
+  enum Fold { kSum, kMax } fold = kSum;
+};
+
+inline constexpr MetricField kRunMetricFields[] = {
+    {"dist.units", &RunMetrics::units},
+    {"dist.ranges", &RunMetrics::ranges},
+    {"dist.assigns", &RunMetrics::assigns},
+    {"dist.retries", &RunMetrics::retries},
+    {"dist.commits", &RunMetrics::commits},
+    {"dist.units_committed", &RunMetrics::units_committed},
+    {"dist.forfeits", &RunMetrics::forfeits},
+    {"dist.units_discarded", &RunMetrics::units_discarded},
+    {"dist.peak_staged_units", &RunMetrics::peak_staged_units,
+     MetricField::kMax},
+    {"dist.workers_connected", &RunMetrics::workers_connected,
+     MetricField::kMax},
+    {"dist.queue_wait_us", &RunMetrics::queue_wait_us},
+    {"dist.wall_us", &RunMetrics::wall_us},
+    {"dist.service.cache.hits", &RunMetrics::cache_hits},
+    {"dist.service.cache.misses", &RunMetrics::cache_misses},
+};
+
+/// `name=value` for every table entry, space-separated, in table order.
+std::string metrics_summary(const RunMetrics& m);
+
+/// Service-wide totals, readable between run() calls.  A service-level
+/// count is mirrored to the obs counter named beside it, at the same site.
 struct ServiceStats {
-  std::size_t requests_submitted = 0;
+  std::size_t requests_submitted = 0;  ///< dist.service.requests
   std::size_t requests_completed = 0;  ///< done or failed
   std::size_t requests_failed = 0;
-  std::size_t sessions_opened = 0;     ///< kWelcome frames granted
-  std::size_t workers_admitted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
+  std::size_t sessions_opened = 0;   ///< dist.service.sessions (kWelcome)
+  std::size_t workers_admitted = 0;  ///< dist.workers_admitted, reconnects too
+  std::uint64_t cache_evictions = 0;  ///< dist.service.cache.evictions
+  RunMetrics totals;  ///< every closed request, done or failed, folded
   /// Requests still registered with the scheduler: only active ones, so 0
   /// whenever the service is idle.
   std::size_t scheduled_requests = 0;
@@ -215,8 +247,10 @@ class Service {
   /// By rid, not Request&: failing a REMOTE request erases it from
   /// requests_, so callers must not hold a reference across the call.
   void fail_request(std::uint64_t rid, const std::string& why);
-  /// The shared end of both: accounting, worker release and, for a remote
-  /// request, delivery of the outcome frame and erasure.
+  /// The shared end of both and the one place a request is published:
+  /// folds its RunMetrics into the totals and the obs counters, releases
+  /// its workers and, for a remote request, delivers the outcome frame
+  /// and erases it.
   void close_request(Request& rq, MsgType type,
                      const std::vector<std::uint8_t>& payload);
   void admit_peer();

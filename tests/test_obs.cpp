@@ -323,9 +323,9 @@ TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
     EXPECT_GE(rm->assigns, rm->ranges);
     EXPECT_EQ(rm->forfeits, 0u);
     EXPECT_EQ(rm->units_discarded, 0u);
-    EXPECT_EQ(rm->workers_admitted, 2u);
+    EXPECT_EQ(rm->workers_connected, 2u);
     EXPECT_GE(rm->peak_staged_units, 1u);
-    EXPECT_GT(rm->wall_ms, 0.0);
+    EXPECT_GT(rm->wall_us, 0u);
   }
   // The obs layer saw the service's traffic in the enabled leg.
   EXPECT_EQ(snap.counter("dist.commits"), 4u);

@@ -1,7 +1,7 @@
 // Persistent multi-tenant service tests (wire v4): the scheduler's
 // priority/fair-share/FIFO policy and its determinism, the
 // content-addressed result cache (key sensitivity down to a single f64
-// bit, deterministic LRU eviction, hit/miss accounting), the v4
+// bit, deterministic LRU eviction), the one metrics vocabulary, the v4
 // adversarial surface (header truncation and per-byte mutation fuzz over
 // the new session/request fields, stale sessions, duplicate request ids,
 // cross-session replay of authenticated frames, the v3-peer version
@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -252,20 +254,25 @@ TEST(Scheduler, IdenticalCallSequencesYieldIdenticalAssignments) {
 // ----------------------------------------------------------- result cache
 
 TEST(ResultCache, KeyChangesWhenOneTechnologyF64Changes) {
+  // The service keys a request by its canonical kSetup bytes.
+  auto key_for = [](const sp::dist::RunDescriptor& d) {
+    ByteWriter w;
+    sp::dist::write_run_descriptor(w, d);
+    return sp::dist::ResultCache::key_for(w.bytes());
+  };
   sp::dist::RunDescriptor a = mc_descriptor();
   sp::dist::RunDescriptor b = a;
   b.tech_avt = std::nextafter(b.tech_avt, 1.0);  // one f64 ulp
-  const sp::dist::Digest ka = sp::dist::ResultCache::key_for(a);
-  const sp::dist::Digest kb = sp::dist::ResultCache::key_for(b);
+  const sp::dist::Digest ka = key_for(a);
+  const sp::dist::Digest kb = key_for(b);
   EXPECT_TRUE(ka < kb || kb < ka) << "one-ulp technology change must rekey";
 
   sp::dist::RunDescriptor c = a;
   c.root_seed ^= 1;  // the (descriptor, root_seed) identity
-  const sp::dist::Digest kc = sp::dist::ResultCache::key_for(c);
+  const sp::dist::Digest kc = key_for(c);
   EXPECT_TRUE(ka < kc || kc < ka) << "root_seed is part of the cache key";
 
-  EXPECT_FALSE(ka < sp::dist::ResultCache::key_for(a) ||
-               sp::dist::ResultCache::key_for(a) < ka);
+  EXPECT_FALSE(ka < key_for(a) || key_for(a) < ka);
 }
 
 TEST(ResultCache, HitMissAndDeterministicLruEviction) {
@@ -277,10 +284,8 @@ TEST(ResultCache, HitMissAndDeterministicLruEviction) {
 
   sp::dist::ResultCache cache(100);
   EXPECT_EQ(cache.find(key('a')), nullptr);
-  EXPECT_EQ(cache.misses(), 1u);
   cache.insert(key('a'), blob);
   ASSERT_NE(cache.find(key('a')), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
 
   cache.insert(key('b'), blob);
   ASSERT_NE(cache.find(key('a')), nullptr);  // refresh a: b is now LRU
@@ -318,7 +323,6 @@ TEST(ResultCache, OversizeBlobsAndZeroBoundNeverCache) {
   disabled.insert(k, small);
   EXPECT_EQ(disabled.entries(), 0u);
   EXPECT_EQ(disabled.find(k), nullptr);
-  EXPECT_EQ(disabled.misses(), 1u);
 }
 
 // ------------------------------------------------- wire v4 frame hardening
@@ -564,8 +568,8 @@ TEST(ClusterHandleTest, ResidentFleetServesManyDescriptorsAndCaches) {
   EXPECT_EQ(st.workers_admitted, 2u);
   EXPECT_EQ(st.requests_completed, 3u);
   EXPECT_EQ(st.requests_failed, 0u);
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.cache_misses, 2u);
+  EXPECT_EQ(st.totals.cache_hits, 1u);
+  EXPECT_EQ(st.totals.cache_misses, 2u);
 
   handle.close();
   handle.close();  // idempotent
@@ -590,7 +594,7 @@ TEST(ClusterHandleTest, FinishedRequestsLeaveTheScheduler) {
     }
   const sp::dist::ServiceStats st = handle.stats();
   EXPECT_EQ(st.requests_completed, 6u);
-  EXPECT_EQ(st.cache_hits, 3u);
+  EXPECT_EQ(st.totals.cache_hits, 3u);
   handle.close();
 }
 
@@ -619,6 +623,77 @@ TEST(ClusterHandleTest, CacheCountersFeedTheTelemetryLayer) {
   EXPECT_NE(json.find("dist.service.cache.misses"), std::string::npos);
   EXPECT_NE(json.find("dist.service.requests"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// A descriptor no worker can rebuild (its workload hash is off by one
+// bit): the local submit path skips the service-side build, so every
+// attempt reaches a worker, which answers kError and, resident, reconnects.
+sp::dist::RunDescriptor unbuildable_descriptor(std::uint64_t seed) {
+  sp::dist::RunDescriptor d = mc_descriptor(seed, 128, 64);
+  d.netlist_hash ^= 1;
+  return d;
+}
+
+TEST(ClusterHandleTest, WorkersConnectedIsTheLiveFleetNotAdmissions) {
+  sp::dist::ClusterOptions cl;
+  cl.spawn_workers = 1;
+  cl.worker_bin = STATPIPE_WORKER_BIN;
+  sp::dist::ClusterHandle handle(cl);
+  EXPECT_THROW((void)handle.submit(unbuildable_descriptor(7)),
+               std::runtime_error);
+  sp::dist::RunMetrics m;
+  (void)handle.submit(mc_descriptor(8, 128, 64), 0, &m);
+  EXPECT_EQ(m.workers_connected, 1u) << "one worker, however often admitted";
+  // The lifetime count keeps every reconnect of the failed attempts.
+  EXPECT_GT(handle.stats().workers_admitted, 1u);
+  handle.close();
+}
+
+// One vocabulary: for every kRunMetricFields entry, the obs counter, the
+// ServiceStats::totals field and the fold of the per-request RunMetrics
+// read the same value — over a miss, a hit and a request that fails after
+// forfeits — and the summary line names exactly the table's names.
+TEST(ServiceVocabulary, ObsCountersTotalsAndPerRequestFoldAgree) {
+  sp::obs::reset();
+  sp::obs::set_enabled(true);
+  sp::dist::ClusterOptions cl;
+  cl.spawn_workers = 1;
+  cl.worker_bin = STATPIPE_WORKER_BIN;
+  cl.service.units_per_range = 1;
+  sp::dist::ClusterHandle handle(cl);
+  const auto good = mc_descriptor(31337, 128, 64);
+  std::vector<sp::dist::RunMetrics> per(3);
+  (void)handle.submit(good, 0, &per[0]);  // miss
+  (void)handle.submit(good, 0, &per[1]);  // hit
+  EXPECT_THROW((void)handle.submit(unbuildable_descriptor(31338), 0, &per[2]),
+               std::runtime_error);
+  const sp::dist::ServiceStats st = handle.stats();
+  handle.close();
+  const sp::obs::MetricsSnapshot snap = sp::obs::snapshot();
+  sp::obs::set_enabled(false);
+
+  EXPECT_EQ(per[0].cache_misses, 1u);
+  EXPECT_EQ(per[0].commits, 2u);
+  EXPECT_EQ(per[1].cache_hits, 1u);
+  // At least the default attempt budget: a reconnected session can take
+  // the other range while the first one's kError is still unread.
+  EXPECT_GE(per[2].forfeits, 3u);
+  for (const sp::dist::MetricField& f : sp::dist::kRunMetricFields) {
+    std::uint64_t folded = 0;
+    for (const sp::dist::RunMetrics& m : per)
+      folded = f.fold == sp::dist::MetricField::kSum
+                   ? folded + m.*f.field
+                   : std::max(folded, m.*f.field);
+    EXPECT_EQ(st.totals.*f.field, folded) << f.name;
+    EXPECT_EQ(snap.counter(f.name), folded) << f.name;
+  }
+
+  std::multiset<std::string> table, summary;
+  for (const sp::dist::MetricField& f : sp::dist::kRunMetricFields)
+    table.insert(f.name);
+  std::istringstream pairs(sp::dist::metrics_summary(st.totals));
+  for (std::string kv; pairs >> kv;) summary.insert(kv.substr(0, kv.find('=')));
+  EXPECT_EQ(summary, table);
 }
 
 // -------------------------------------- concurrent multi-client property
@@ -701,7 +776,7 @@ TEST(ServiceDeterminism, ConcurrentClientsMatchLocalReferencesUnderChurn) {
   const sp::dist::ServiceStats st = svc.stats();
   EXPECT_EQ(st.requests_completed, 2 * wave1);
   EXPECT_EQ(st.requests_failed, 0u);
-  EXPECT_GE(st.cache_hits, wave1);  // every wave-2 submission, at least
+  EXPECT_GE(st.totals.cache_hits, wave1);  // every wave-2 submission, at least
   EXPECT_GE(st.session_units.size(), 2u);
 
   svc.shutdown_workers();

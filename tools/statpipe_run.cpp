@@ -45,7 +45,6 @@
 // over the wire and the result (with cache/queue accounting) comes back on
 // this session.  --priority sets the scheduler priority of this
 // invocation's requests either way.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -65,37 +64,17 @@ namespace {
 
 namespace sp = statpipe;
 
-// Per-run dist accounting of a self-hosted run, printed unconditionally:
-// RunMetrics is always-on service state, so the block costs nothing extra
-// and needs no telemetry (obs counters stay disabled unless --metrics /
-// STATPIPE_TRACE turned them on).
-void print_dist_metrics(const sp::dist::RunMetrics& m, std::size_t requests) {
-  std::printf(
-      "dist metrics%s: %zu unit(s) in %zu range(s), %zu assign(s) "
-      "(%zu retried), %zu commit(s), %zu forfeit(s) (%zu unit(s) "
-      "discarded), peak staged %zu, %zu worker(s), queue wait %.1f ms, "
-      "cache %zu hit(s) / %zu miss(es), wall %.1f ms\n",
-      requests > 1 ? (" (" + std::to_string(requests) + " requests)").c_str()
-                   : "",
-      m.units, m.ranges, m.assigns, m.retries, m.commits, m.forfeits,
-      m.units_discarded, m.peak_staged_units, m.workers_admitted,
-      m.queue_wait_ms, m.cache_hits, m.cache_misses, m.wall_ms);
-}
-
-void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
-  acc.units += m.units;
-  acc.ranges += m.ranges;
-  acc.assigns += m.assigns;
-  acc.commits += m.commits;
-  acc.retries += m.retries;
-  acc.forfeits += m.forfeits;
-  acc.units_discarded += m.units_discarded;
-  acc.peak_staged_units = std::max(acc.peak_staged_units, m.peak_staged_units);
-  acc.workers_admitted = std::max(acc.workers_admitted, m.workers_admitted);
-  acc.queue_wait_ms += m.queue_wait_ms;
-  acc.cache_hits += m.cache_hits;
-  acc.cache_misses += m.cache_misses;
-  acc.wall_ms += m.wall_ms;
+// The service's always-on accounting under the names the metrics JSON
+// carries: the service-level counts, then every closed request folded
+// through dist::kRunMetricFields.  Needs no telemetry (obs counters stay
+// disabled unless --metrics / STATPIPE_TRACE turned them on).
+std::string service_summary(const sp::dist::ServiceStats& st) {
+  return "dist.service.requests=" + std::to_string(st.requests_submitted) +
+         " dist.service.sessions=" + std::to_string(st.sessions_opened) +
+         " dist.workers_admitted=" + std::to_string(st.workers_admitted) +
+         " dist.service.cache.evictions=" +
+         std::to_string(st.cache_evictions) + " " +
+         sp::dist::metrics_summary(st.totals);
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -233,15 +212,9 @@ int run_serve(sp::dist::ClusterHandle& handle, std::size_t serve_requests) {
   handle.serve(serve_requests);
   handle.close();
   const sp::dist::ServiceStats st = handle.stats();
-  std::printf(
-      "service stats: %zu request(s) submitted, %zu completed (%zu "
-      "failed), %zu session(s), %zu worker(s), cache %llu hit(s) / %llu "
-      "miss(es) / %llu eviction(s)\n",
-      st.requests_submitted, st.requests_completed, st.requests_failed,
-      st.sessions_opened, st.workers_admitted,
-      static_cast<unsigned long long>(st.cache_hits),
-      static_cast<unsigned long long>(st.cache_misses),
-      static_cast<unsigned long long>(st.cache_evictions));
+  std::printf("service stats: requests_completed=%zu requests_failed=%zu %s\n",
+              st.requests_completed, st.requests_failed,
+              service_summary(st).c_str());
   for (const auto& [sid, units] : st.session_units)
     std::printf("  session %llu: %llu unit(s) assigned\n",
                 static_cast<unsigned long long>(sid),
@@ -344,13 +317,7 @@ int main(int argc, char** argv) {
     int rc = EXIT_FAILURE;
     std::shared_ptr<sp::dist::ClusterHandle> handle;
     std::shared_ptr<sp::dist::ServiceClient> client;
-    sp::dist::RunMetrics agg;  // self-hosted accounting, all requests
-    std::size_t requests = 0;
     if (connect_to.empty()) {
-      cl.on_metrics = [&](const sp::dist::RunMetrics& m) {
-        accumulate(agg, m);
-        ++requests;
-      };
       handle = std::make_shared<sp::dist::ClusterHandle>(cl);
       // Port announcement is operational output, not verbosity: without
       // --spawn, externally started workers (and clients) need the
@@ -402,7 +369,8 @@ int main(int argc, char** argv) {
     }
     if (handle && !serve) {
       handle->close();
-      print_dist_metrics(agg, requests);
+      std::printf("dist metrics: %s\n",
+                  service_summary(handle->stats()).c_str());
     }
     if (!metrics_path.empty()) {
       sp::obs::write_metrics_json(metrics_path);
