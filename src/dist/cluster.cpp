@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "dist/workload.h"
-#include "netlist/generators.h"
 #include "obs/log.h"
 
 extern char** environ;
@@ -153,15 +152,16 @@ std::string workload_name_for(const netlist::Netlist& nl) {
   if (name.size() > kSuffixLen &&
       name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0)
     name.resize(name.size() - kSuffixLen);
-  netlist::Netlist rebuilt = netlist::iscas_like(name);  // throws on unknown
-  if (rebuilt.size() != nl.size())
+  const RegistryStage stage = registry_stage(name);  // throws on unknown
+  if (stage.netlist->size() != nl.size())
     throw std::invalid_argument(
         "dist: netlist '" + nl.name() + "' is not the registry's '" + name +
         "' (gate count " + std::to_string(nl.size()) + " vs rebuilt " +
-        std::to_string(rebuilt.size()) + ")");
-  // Transplant the caller's sizes so the comparison checks structure
-  // modulo sizing — the grid carries explicit per-lane size vectors, so
-  // sizes are the one thing allowed to differ.
+        std::to_string(stage.netlist->size()) + ")");
+  // Transplant the caller's sizes into a copy of the registry stage so the
+  // comparison checks structure modulo sizing — the grid carries explicit
+  // per-lane size vectors, so sizes are the one thing allowed to differ.
+  netlist::Netlist rebuilt = *stage.netlist;
   rebuilt.set_sizes(nl.sizes());
   if (rebuilt.structural_hash() != nl.structural_hash())
     throw std::invalid_argument(

@@ -109,11 +109,12 @@ class ClusterHandle {
 };
 
 /// The registry workload name for a netlist the cluster can rebuild:
-/// strips the generator's "_like" suffix from nl.name(), re-synthesizes
-/// the circuit, transplants nl's sizes and verifies structural-hash
-/// equality — so a netlist that is NOT reconstructible from the workload
-/// registry (edited structure, foreign parser input) is rejected with a
-/// clear error instead of silently characterizing the wrong circuit.
+/// strips the generator's "_like" suffix from nl.name(), transplants nl's
+/// sizes into one copy of the stage registry's circuit (dist/workload.h)
+/// and verifies structural-hash equality — so a netlist that is NOT
+/// reconstructible from the registry (edited structure, foreign parser
+/// input) is rejected with a clear error instead of silently
+/// characterizing the wrong circuit.
 std::string workload_name_for(const netlist::Netlist& nl);
 
 /// Cluster-backed sta::GridCharacterizer: each invocation packages the

@@ -15,6 +15,10 @@ obs::Counter& c_evictions() {
 
 }  // namespace
 
+ResultCache::ResultCache(std::size_t max_bytes) : max_bytes_(max_bytes) {
+  (void)c_evictions();
+}
+
 const std::vector<std::uint8_t>* ResultCache::find(const Digest& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;

@@ -38,8 +38,9 @@ namespace statpipe::dist {
 class ResultCache {
  public:
   /// `max_bytes` bounds the sum of cached blob sizes; 0 disables caching
-  /// entirely (every find misses, every insert is dropped).
-  explicit ResultCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
+  /// entirely (every find misses, every insert is dropped).  Registers
+  /// dist.service.cache.evictions, so a run without evictions reports 0.
+  explicit ResultCache(std::size_t max_bytes);
 
   /// Cache key: SHA-256 over the canonical write_run_descriptor bytes
   /// (root_seed included — the full (descriptor, root_seed) identity).

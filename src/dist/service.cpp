@@ -109,17 +109,8 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     throw std::invalid_argument(
         "dist: a single unit's result (" + std::to_string(unit_bytes) +
         " bytes) exceeds the frame payload cap; use smaller shards");
-  // Fleet-poisoning guard for remote submissions: a descriptor whose
-  // workload cannot be built (unknown circuit, hash mismatch, bad grid)
-  // would kill every worker it reaches via kError-and-exit.  Building it
-  // once service-side turns that into a submit-time rejection.  Local
-  // submissions skip this (the v3 coordinator never built workloads, and
-  // tests drive deliberately-unbuildable descriptors through it).
-  if (client_session != 0) make_unit_runner(desc);
 
-  const std::uint64_t rid = next_rid_++;
   Request rq;
-  rq.rid = rid;
   rq.client_session = client_session;
   rq.client_id = client_id;
   rq.kind = desc.task_kind;
@@ -129,6 +120,21 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     rq.desc_bytes = w.take();
   }
   rq.cache_key = ResultCache::key_for(rq.desc_bytes);
+  // Content-addressed cache: the canonical descriptor bytes (root_seed
+  // included) are the whole identity of a run, so a hit IS the result.
+  const std::vector<std::uint8_t>* hit =
+      opt_.cache_max_bytes > 0 ? cache_.find(rq.cache_key) : nullptr;
+  // Fleet-poisoning guard for remote submissions: a descriptor whose
+  // workload cannot be built (unknown circuit, hash mismatch, bad grid)
+  // would kill every worker it reaches via kError-and-exit.  Building it
+  // once service-side turns that into a submit-time rejection.  Local
+  // submissions skip this (the v3 coordinator never built workloads, and
+  // tests drive deliberately-unbuildable descriptors through it), and so
+  // does a cache hit: its bytes are those of a run the workers completed.
+  if (client_session != 0 && hit == nullptr) make_unit_runner(desc);
+
+  const std::uint64_t rid = next_rid_++;
+  rq.rid = rid;
   rq.submit_ns = obs::now_ns();
   rq.span_t0 = obs::enabled() ? rq.submit_ns : 0;
   rq.metrics.units = n_units;
@@ -136,10 +142,6 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
   static obs::Counter c_requests("dist.service.requests");
   c_requests.add();
 
-  // Content-addressed cache: the canonical descriptor bytes (root_seed
-  // included) are the whole identity of a run, so a hit IS the result.
-  const std::vector<std::uint8_t>* hit =
-      opt_.cache_max_bytes > 0 ? cache_.find(rq.cache_key) : nullptr;
   if (hit != nullptr) {
     rq.result_blob = *hit;
     rq.metrics.cache_hits = 1;

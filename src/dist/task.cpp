@@ -16,24 +16,20 @@ namespace statpipe::dist {
 
 namespace {
 
-/// Grid-task workload with stable addresses: the rebuilt stage netlist,
-/// the delay model (descriptor technology, like Workload), the bound
-/// SstaBatch — which keeps a pointer to the model for its lifetime — and
-/// the size grid itself, owned here so the session's range runner does
-/// not duplicate the K x G doubles in its closure.
+/// Grid-task workload with stable addresses: the delay model (descriptor
+/// technology, like Workload), the SstaBatch bound from the registry stage
+/// — which keeps a pointer to the model for its lifetime — and the size
+/// grid itself, owned here so the session's range runner does not
+/// duplicate the K x G doubles in its closure.
 struct GridWorkload {
-  netlist::Netlist nl;
   device::AlphaPowerModel model;
   sta::SstaBatch batch;
   std::vector<std::vector<double>> size_grid;
 
-  GridWorkload(netlist::Netlist n, const process::Technology& tech,
+  GridWorkload(const netlist::Netlist& nl, const process::Technology& tech,
                const sta::SstaOptions& opt,
                std::vector<std::vector<double>> grid)
-      : nl(std::move(n)),
-        model(tech),
-        batch(nl, model, opt),
-        size_grid(std::move(grid)) {}
+      : model(tech), batch(nl, model, opt), size_grid(std::move(grid)) {}
 };
 
 }  // namespace
@@ -71,7 +67,7 @@ std::size_t task_unit_wire_bytes(const RunDescriptor& desc) {
 UnitRangeRunner make_unit_runner(const RunDescriptor& desc) {
   if (desc.task_kind == TaskKind::kSstaGrid) {
     // shared_ptr: the runner outlives this call and the batch must keep
-    // its netlist/model addresses stable for the whole session.
+    // its model address stable for the whole session.
     sta::SstaOptions opt;
     opt.output_load = desc.output_load;
     auto wl = std::make_shared<GridWorkload>(build_grid_stage(desc),
@@ -123,7 +119,7 @@ TaskResult run_local_task(const RunDescriptor& desc) {
   TaskResult out;
   out.kind = desc.task_kind;
   if (desc.task_kind == TaskKind::kSstaGrid) {
-    const netlist::Netlist nl = build_grid_stage(desc);
+    const netlist::Netlist& nl = build_grid_stage(desc);
     const device::AlphaPowerModel model{descriptor_technology(desc)};
     sta::SstaOptions opt;
     opt.output_load = desc.output_load;

@@ -68,9 +68,10 @@ using UnitSink = std::function<void(std::size_t unit_index,
 using UnitRangeRunner = std::function<void(
     std::size_t unit_begin, std::size_t unit_end, const UnitSink& emit)>;
 
-/// Builds the descriptor's workload (rebuilding netlists from the registry
-/// and verifying the structural hash — mismatch throws, the worker reports
-/// kError and contributes nothing) and returns the kind's range runner.
+/// Builds the descriptor's workload (binding the stage registry's shared
+/// netlists and verifying the structural hash — mismatch throws, the
+/// worker reports kError and contributes nothing) and returns the kind's
+/// range runner.
 UnitRangeRunner make_unit_runner(const RunDescriptor& desc);
 
 /// Runs the descriptor's task to completion in this process — the

@@ -27,7 +27,7 @@ inline constexpr GateId kInvalidGate = std::numeric_limits<GateId>::max();
 /// 64-bit FNV-1a fold of one value's 8 bytes (low byte first) into a
 /// running hash.  Seed new hashes with kFnvOffsetBasis.  Shared by
 /// Netlist::structural_hash and the distributed workload identity
-/// (dist::hash_stages) — both sides of the cross-process hash check MUST
+/// (dist/workload.h) — both sides of the cross-process hash check MUST
 /// fold with this exact function.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t fnv1a_fold(std::uint64_t h, std::uint64_t v) noexcept {

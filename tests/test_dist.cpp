@@ -34,6 +34,7 @@
 #include "dist/workload.h"
 #include "mc/pipeline_mc.h"
 #include "netlist/generators.h"
+#include "obs/telemetry.h"
 #include "opt/sweep.h"
 #include "sta/ssta_batch.h"
 #include "stats/rng.h"
@@ -319,6 +320,126 @@ TEST(DistWorkload, StructuralHashDetectsStageEdits) {
   EXPECT_EQ(a.structural_hash(), b.structural_hash());
   b.gate(b.topological_order().back()).size *= 1.5;
   EXPECT_NE(a.structural_hash(), b.structural_hash());
+}
+
+// ------------------------------------------------------- stage registry
+
+namespace {
+
+// A finalized descriptor whose hash comes straight from the generator,
+// so building it leaves the stage registry untouched: what a registry
+// test needs to observe a circuit's first use.
+sp::dist::RunDescriptor unregistered(sp::dist::RunDescriptor d) {
+  std::uint64_t h = sp::netlist::kFnvOffsetBasis;
+  for (const auto& name : sp::dist::split_workload_names(d.workload)) {
+    const auto nl = sp::netlist::iscas_like(name);
+    h = sp::netlist::fnv1a_fold(h, nl.structural_hash());
+  }
+  d.netlist_hash = h;
+  d.root_seed = sp::dist::derive_root_seed(d.seed);
+  return d;
+}
+
+std::uint64_t registry_builds() {
+  return sp::obs::snapshot().counter("dist.workload.builds");
+}
+
+}  // namespace
+
+TEST(DistRegistry, RacingFirstUsesShareOneBuild) {
+  sp::obs::reset();
+  sp::obs::set_enabled(true);
+  const std::size_t before = sp::dist::registry_size();
+  constexpr int kThreads = 8;
+  std::vector<const sp::netlist::Netlist*> got(kThreads, nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) {
+      }
+      got[t] = sp::dist::registry_stage("c1908").netlist.get();
+    });
+  for (auto& th : threads) th.join();
+  const std::uint64_t builds = registry_builds();
+  sp::obs::set_enabled(false);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(sp::dist::registry_size(), before + 1);
+  for (const auto* nl : got) EXPECT_EQ(nl, got.front());
+  // The generator's alias shares the canonical circuit's entry.
+  EXPECT_EQ(sp::dist::registry_stage("c1980").netlist.get(), got.front());
+  EXPECT_EQ(got.front()->structural_hash(),
+            sp::netlist::iscas_like("c1908").structural_hash());
+}
+
+TEST(DistRegistry, UnknownNameThrowsAndLeavesNoEntry) {
+  const std::size_t before = sp::dist::registry_size();
+  EXPECT_THROW((void)sp::dist::registry_stage("c9999"),
+               std::invalid_argument);
+  sp::dist::RunDescriptor d;
+  d.workload = "c9999";
+  d.n_samples = 16;
+  EXPECT_THROW((void)sp::dist::Workload::make(d), std::invalid_argument);
+  d.task_kind = sp::dist::TaskKind::kSstaGrid;
+  d.size_grid.assign(1, std::vector<double>(4, 1.0));
+  EXPECT_THROW((void)sp::dist::build_grid_stage(d), std::invalid_argument);
+  EXPECT_EQ(sp::dist::registry_size(), before);
+}
+
+TEST(DistRegistry, WarmRegistryStillRejectsHashMismatch) {
+  auto grid = grid_descriptor("c432", 2);  // finalizing warms c432
+  auto mc = small_descriptor("c432");
+  ASSERT_NO_THROW((void)sp::dist::build_grid_stage(grid));
+  ASSERT_NO_THROW((void)sp::dist::Workload::make(mc));
+  grid.netlist_hash ^= 1;
+  mc.netlist_hash ^= 1;
+  EXPECT_THROW((void)sp::dist::build_grid_stage(grid), std::invalid_argument);
+  EXPECT_THROW((void)sp::dist::Workload::make(mc), std::invalid_argument);
+  EXPECT_THROW((void)sp::dist::make_unit_runner(grid), std::invalid_argument);
+  EXPECT_THROW((void)sp::dist::make_unit_runner(mc), std::invalid_argument);
+}
+
+TEST(DistRegistry, RunLocalTaskIsBitwiseOnColdAndWarmRegistry) {
+  sp::dist::RunDescriptor mc;
+  mc.workload = "c1355";
+  mc.seed = 77;
+  mc.n_samples = 512;
+  mc.samples_per_shard = 128;
+  mc.block_width = 8;
+  mc.sigma_vth_inter = 0.020;
+  mc.enable_rdf = 1;
+  mc = unregistered(mc);
+
+  const auto nl = sp::netlist::iscas_like("c499");
+  sp::dist::RunDescriptor grid;
+  grid.task_kind = sp::dist::TaskKind::kSstaGrid;
+  grid.workload = "c499";
+  grid.seed = 78;
+  grid.size_grid.assign(3, nl.sizes());
+  for (std::size_t k = 0; k < 3; ++k)
+    for (double& s : grid.size_grid[k]) s *= 1.0 + 0.1 * static_cast<double>(k);
+  grid = unregistered(grid);
+
+  for (const auto* d : {&mc, &grid}) {
+    const std::size_t before = sp::dist::registry_size();
+    const auto cold = sp::dist::run_local_task(*d);
+    EXPECT_EQ(sp::dist::registry_size(), before + 1) << d->workload;
+    const auto warm = sp::dist::run_local_task(*d);
+    EXPECT_EQ(sp::dist::registry_size(), before + 1) << d->workload;
+    EXPECT_TRUE(sp::dist::bitwise_equal(cold, warm)) << d->workload;
+  }
+  // And both equal the generator's own netlist, characterized directly.
+  const sp::device::AlphaPowerModel model{
+      sp::dist::descriptor_technology(grid)};
+  sp::sta::SstaOptions opt;
+  opt.output_load = grid.output_load;
+  sp::dist::TaskResult direct;
+  direct.kind = sp::dist::TaskKind::kSstaGrid;
+  direct.lanes = sp::sta::characterize_grid(
+      nl, model, grid.size_grid, sp::dist::descriptor_spec(grid), opt);
+  EXPECT_TRUE(
+      sp::dist::bitwise_equal(sp::dist::run_local_task(grid), direct));
 }
 
 // ----------------------------------------------- run_shard_range contract

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <random>
 #include <set>
@@ -694,6 +695,90 @@ TEST(ServiceVocabulary, ObsCountersTotalsAndPerRequestFoldAgree) {
   std::istringstream pairs(sp::dist::metrics_summary(st.totals));
   for (std::string kv; pairs >> kv;) summary.insert(kv.substr(0, kv.find('=')));
   EXPECT_EQ(summary, table);
+}
+
+// ------------------------------------------ stage registry at the service
+
+std::uint64_t registry_builds() {
+  return sp::obs::snapshot().counter("dist.workload.builds");
+}
+
+// Serves `client` on its own thread until it returns; it must set `done`
+// before its ServiceClient disconnects, which wakes the loop.
+void serve_client(sp::dist::Service& svc,
+                  const std::function<void(std::atomic<bool>&)>& client) {
+  std::atomic<bool> done{false};
+  std::thread th([&] { client(done); });
+  svc.run([&] { return done.load(); });
+  th.join();
+}
+
+TEST(ServiceRegistry, WarmRegistryStillRejectsHashMismatchAtSubmit) {
+  sp::dist::RunDescriptor bad = mc_descriptor(515);  // warms c432
+  bad.netlist_hash ^= 1;
+  // The service drops a rejected client's connection, so no disconnect
+  // wakes the loop: let the idle timeout re-check the stop condition.
+  sp::dist::ServiceOptions so;
+  so.idle_timeout_ms = 20;
+  sp::dist::Service svc(std::move(so));
+  std::string why;
+  serve_client(svc, [&](std::atomic<bool>& done) {
+    sp::dist::ServiceClient c("127.0.0.1", svc.port());
+    try {
+      (void)c.wait(c.submit(bad));
+    } catch (const std::runtime_error& e) {
+      why = e.what();
+    }
+    done = true;
+  });
+  EXPECT_NE(why.find("hash mismatch"), std::string::npos) << why;
+  // The rejection happens before the request is admitted.
+  EXPECT_EQ(svc.stats().requests_submitted, 0u);
+}
+
+TEST(ServiceRegistry, CacheHitBuildsNothing) {
+  // A c880 run this process never built: submitted locally (no service
+  // build), computed by the worker, then resubmitted by a client.
+  sp::dist::RunDescriptor d;
+  d.workload = "c880";
+  d.seed = 2026;
+  d.n_samples = 256;
+  d.samples_per_shard = 64;
+  d.block_width = 8;
+  d.sigma_vth_inter = 0.020;
+  d.enable_rdf = 1;
+  d.netlist_hash = sp::netlist::fnv1a_fold(
+      sp::netlist::kFnvOffsetBasis,
+      sp::netlist::iscas_like("c880").structural_hash());
+  d.root_seed = sp::dist::derive_root_seed(d.seed);
+
+  sp::dist::Service svc({});
+  const pid_t pid = spawn_worker(svc.port());
+  const std::uint64_t rid = svc.submit_local(d);
+  svc.run([&] { return svc.local_done(rid); });
+  const sp::dist::TaskResult ref = svc.take_local_result(rid);
+
+  const std::size_t entries = sp::dist::registry_size();
+  sp::obs::reset();
+  sp::obs::set_enabled(true);
+  sp::dist::TaskResult got;
+  bool hit = false;
+  serve_client(svc, [&](std::atomic<bool>& done) {
+    sp::dist::ServiceClient c("127.0.0.1", svc.port());
+    const std::uint64_t id = c.submit(d);
+    got = c.wait(id);
+    hit = c.info(id).cache_hit;
+    done = true;
+  });
+  const std::uint64_t builds = registry_builds();
+  sp::obs::set_enabled(false);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(sp::dist::bitwise_equal(got, ref));
+  EXPECT_EQ(builds, 0u);
+  EXPECT_EQ(sp::dist::registry_size(), entries);
+
+  svc.shutdown_workers();
+  reap(svc, pid);
 }
 
 // -------------------------------------- concurrent multi-client property

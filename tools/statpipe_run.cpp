@@ -55,7 +55,6 @@
 #include "dist/cluster.h"
 #include "dist/task.h"
 #include "dist/workload.h"
-#include "netlist/generators.h"
 #include "obs/telemetry.h"
 #include "opt/sweep.h"
 #include "stats/gaussian.h"
@@ -176,7 +175,10 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
 
   std::printf("statpipe-run: ssta-sweep, %s, %zu sweep points\n",
               desc.workload.c_str(), points);
-  sp::netlist::Netlist nl = sp::netlist::iscas_like(names.front());
+  // The sweep resizes its netlist: work on a copy of the registry stage.
+  const sp::dist::RegistryStage stage =
+      sp::dist::registry_stage(names.front());
+  sp::netlist::Netlist nl = *stage.netlist;
   const auto dist_sweep = sp::opt::area_delay_sweep(nl, model, spec, sw);
   std::printf("area-delay curve: %zu feasible points, fastest D_stat "
               "%.4f ps\n",
@@ -187,7 +189,7 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
   if (check_local) {
     sp::opt::SweepOptions local_sw = sw;
     local_sw.grid = {};  // the single-process SstaBatch reference
-    sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
+    sp::netlist::Netlist nl2 = *stage.netlist;
     const auto local_sweep =
         sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
     if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {

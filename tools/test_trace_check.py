@@ -239,6 +239,39 @@ class TraceCheckTest(unittest.TestCase):
         r = self.run_check(t, "--require-counter-min", "x=1")
         self.assertEqual(r.returncode, 2)
 
+    # ----------------------------------------------- counter maximums
+
+    def test_counter_maximum_bounds_the_value(self):
+        m = self.write("m.json", metrics(
+            counters={"dist.workload.builds": 2}))
+        t = self.trace("ok.json", [])
+        r = self.run_check(t, "--metrics", m,
+                           "--require-counter-max", "dist.workload.builds=2")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        r = self.run_check(t, "--metrics", m,
+                           "--require-counter-max", "dist.workload.builds=1")
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("above the allowed maximum", r.stdout)
+
+    def test_counter_maximum_on_absent_counter_fails(self):
+        m = self.write("m.json", metrics(counters={"mc.samples": 1}))
+        t = self.trace("ok.json", [])
+        r = self.run_check(t, "--metrics", m,
+                           "--require-counter-max", "dist.workload.builds=2")
+        self.assertEqual(r.returncode, 1)
+        self.assertIn("dist.workload.builds", r.stdout)
+        self.assertIn("absent", r.stdout)
+
+    def test_counter_maximum_bad_spec_or_no_metrics_is_a_usage_error(self):
+        m = self.write("m.json", metrics())
+        t = self.trace("ok.json", [])
+        for spec in ("no-equals", "name=", "=3", "name=-1", "name=abc"):
+            r = self.run_check(t, "--metrics", m,
+                               "--require-counter-max", spec)
+            self.assertEqual(r.returncode, 2, spec)
+        r = self.run_check(t, "--require-counter-max", "x=1")
+        self.assertEqual(r.returncode, 2)
+
     # ------------------------------------------------------ end-to-end
 
     def test_real_export_from_statpipe(self):

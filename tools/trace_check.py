@@ -26,7 +26,10 @@ With --metrics the tool also validates a metrics snapshot produced by
   * --require-counter NAME (repeatable): NAME is present in "counters";
   * --require-counter-min NAME=MIN (repeatable): NAME is present AND its
     value is >= MIN — how CI asserts a run actually exercised a path
-    (e.g. the service leg demands dist.service.cache.hits=1).
+    (e.g. the service leg demands dist.service.cache.hits=1);
+  * --require-counter-max NAME=MAX (repeatable): NAME is present AND its
+    value is <= MAX — how CI bounds work a run must not repeat (e.g. the
+    service leg allows one dist.workload.builds per circuit).
 
 Exit status: 0 when every check passes, 1 otherwise (each violation is
 printed).  Used by the CI dist-smoke leg; unit-tested by
@@ -36,7 +39,8 @@ Usage:
   trace_check.py TRACE.json [TRACE.json ...]
                  [--require-span NAME]...
                  [--metrics METRICS.json [--require-counter NAME]...
-                  [--require-counter-min NAME=MIN]...]
+                  [--require-counter-min NAME=MIN]...
+                  [--require-counter-max NAME=MAX]...]
 """
 import argparse
 import json
@@ -127,18 +131,19 @@ def check_trace(path, errors, span_names):
           f"{len(last_end)} thread(s)")
 
 
-def parse_counter_min(spec):
-    """'NAME=MIN' -> (NAME, int MIN >= 0); raises ValueError on junk."""
-    name, sep, minimum = spec.partition("=")
+def parse_counter_bound(spec):
+    """'NAME=N' -> (NAME, int N >= 0); raises ValueError on junk."""
+    name, sep, bound = spec.partition("=")
     if not sep or not name:
-        raise ValueError(f"expected NAME=MIN, got {spec!r}")
-    value = int(minimum)  # ValueError on non-integers, as intended
+        raise ValueError(f"expected NAME=N, got {spec!r}")
+    value = int(bound)  # ValueError on non-integers, as intended
     if value < 0:
-        raise ValueError(f"MIN must be >= 0, got {spec!r}")
+        raise ValueError(f"N must be >= 0, got {spec!r}")
     return name, value
 
 
-def check_metrics(path, errors, required_counters, counter_minimums):
+def check_metrics(path, errors, required_counters, counter_minimums,
+                  counter_maximums=()):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -171,6 +176,13 @@ def check_metrics(path, errors, required_counters, counter_minimums):
         elif isinstance(counters[name], int) and counters[name] < minimum:
             fail(errors, path, f"counter '{name}' is {counters[name]}, "
                  f"below the required minimum {minimum}")
+    for name, maximum in counter_maximums:
+        if name not in counters:
+            fail(errors, path, f"required counter '{name}' is absent "
+                 f"(must be <= {maximum})")
+        elif isinstance(counters[name], int) and counters[name] > maximum:
+            fail(errors, path, f"counter '{name}' is {counters[name]}, "
+                 f"above the allowed maximum {maximum}")
     print(f"{path}: {len(counters)} counter(s), {len(spans)} span stat(s)")
 
 
@@ -190,15 +202,21 @@ def main(argv=None):
     ap.add_argument("--require-counter-min", action="append", default=[],
                     metavar="NAME=MIN", help="counter that must be present "
                     "in --metrics with value >= MIN (repeatable)")
+    ap.add_argument("--require-counter-max", action="append", default=[],
+                    metavar="NAME=MAX", help="counter that must be present "
+                    "in --metrics with value <= MAX (repeatable)")
     args = ap.parse_args(argv)
-    if (args.require_counter or args.require_counter_min) \
-            and not args.metrics:
-        ap.error("--require-counter/--require-counter-min need --metrics")
-    try:
-        counter_minimums = [parse_counter_min(s)
-                            for s in args.require_counter_min]
-    except ValueError as e:
-        ap.error(f"--require-counter-min: {e}")
+    if (args.require_counter or args.require_counter_min
+            or args.require_counter_max) and not args.metrics:
+        ap.error("--require-counter/--require-counter-min/"
+                 "--require-counter-max need --metrics")
+    bounds = {}
+    for flag in ("min", "max"):
+        try:
+            bounds[flag] = [parse_counter_bound(s) for s in
+                            getattr(args, f"require_counter_{flag}")]
+        except ValueError as e:
+            ap.error(f"--require-counter-{flag}: {e}")
 
     errors = []
     span_names = set()
@@ -210,7 +228,7 @@ def main(argv=None):
                 f"required span '{name}' appears in none of the traces")
     if args.metrics:
         check_metrics(args.metrics, errors, args.require_counter,
-                      counter_minimums)
+                      bounds["min"], bounds["max"])
 
     for msg in errors:
         print(f"FAIL: {msg}")
