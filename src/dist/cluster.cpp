@@ -153,17 +153,9 @@ std::string workload_name_for(const netlist::Netlist& nl) {
       name.compare(name.size() - kSuffixLen, kSuffixLen, kSuffix) == 0)
     name.resize(name.size() - kSuffixLen);
   const RegistryStage stage = registry_stage(name);  // throws on unknown
-  if (stage.netlist->size() != nl.size())
-    throw std::invalid_argument(
-        "dist: netlist '" + nl.name() + "' is not the registry's '" + name +
-        "' (gate count " + std::to_string(nl.size()) + " vs rebuilt " +
-        std::to_string(stage.netlist->size()) + ")");
-  // Transplant the caller's sizes into a copy of the registry stage so the
-  // comparison checks structure modulo sizing — the grid carries explicit
-  // per-lane size vectors, so sizes are the one thing allowed to differ.
-  netlist::Netlist rebuilt = *stage.netlist;
-  rebuilt.set_sizes(nl.sizes());
-  if (rebuilt.structural_hash() != nl.structural_hash())
+  // Structure modulo sizing: the grid carries explicit per-lane size
+  // vectors, so sizes are the one thing allowed to differ.
+  if (!stage.netlist->same_structure(nl))
     throw std::invalid_argument(
         "dist: netlist '" + nl.name() +
         "' is not reconstructible from the workload registry ('" + name +

@@ -109,9 +109,9 @@ class ClusterHandle {
 };
 
 /// The registry workload name for a netlist the cluster can rebuild:
-/// strips the generator's "_like" suffix from nl.name(), transplants nl's
-/// sizes into one copy of the stage registry's circuit (dist/workload.h)
-/// and verifies structural-hash equality — so a netlist that is NOT
+/// strips the generator's "_like" suffix from nl.name() and compares nl
+/// in place with the stage registry's circuit (dist/workload.h), sizes
+/// excepted (Netlist::same_structure) — so a netlist that is NOT
 /// reconstructible from the registry (edited structure, foreign parser
 /// input) is rejected with a clear error instead of silently
 /// characterizing the wrong circuit.

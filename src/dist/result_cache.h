@@ -44,6 +44,10 @@ class ResultCache {
 
   /// Cache key: SHA-256 over the canonical write_run_descriptor bytes
   /// (root_seed included — the full (descriptor, root_seed) identity).
+  /// The service hashes a remote submit's descriptor bytes as received:
+  /// the descriptor codec is a bijection on the bytes it accepts
+  /// (dist/serialize.h), so those bytes equal write_run_descriptor of the
+  /// decoded descriptor and the key is the same as a local submit's.
   static Digest key_for(std::span<const std::uint8_t> desc_bytes) {
     return sha256(desc_bytes);
   }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -27,20 +28,6 @@ bool is_known_task_kind(std::uint16_t raw) noexcept {
 
 // ------------------------------------------------------------ ByteWriter
 
-void ByteWriter::u16(std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
-}
-
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void ByteWriter::str(const std::string& s) {
   u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());
@@ -48,52 +35,25 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::f64_vec(const std::vector<double>& v) {
   u64(v.size());
-  for (double d : v) f64(d);
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), p, p + 8 * v.size());
+  } else {
+    for (double d : v) f64(d);
+  }
 }
 
-void ByteWriter::append(const std::vector<std::uint8_t>& b) {
+void ByteWriter::append(std::span<const std::uint8_t> b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 // ------------------------------------------------------------ ByteReader
 
-void ByteReader::need(std::size_t n) const {
-  if (data_.size() - pos_ < n)
-    throw std::runtime_error("dist: truncated payload (need " +
-                             std::to_string(n) + " bytes, have " +
-                             std::to_string(data_.size() - pos_) + ")");
+void ByteReader::throw_truncated(std::size_t n) const {
+  throw std::runtime_error("dist: truncated payload (need " +
+                           std::to_string(n) + " bytes, have " +
+                           std::to_string(remaining()) + ")");
 }
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t ByteReader::u16() {
-  need(2);
-  std::uint16_t v = 0;
-  for (int i = 0; i < 2; ++i)
-    v |= static_cast<std::uint16_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string ByteReader::str() {
   const std::uint64_t n = u64();
@@ -105,15 +65,19 @@ std::string ByteReader::str() {
 
 std::vector<double> ByteReader::f64_vec() {
   const std::uint64_t n = u64();
-  // Overflow-safe length sanity before reserving: a hostile/corrupt length
-  // must throw, not trigger a giant allocation.
+  // Overflow-safe length sanity before allocating: a hostile/corrupt
+  // length must throw, not trigger a giant allocation.
   if (n > remaining() / 8)
     throw std::runtime_error("dist: truncated payload (vector of " +
                              std::to_string(n) + " doubles, " +
                              std::to_string(remaining()) + " bytes left)");
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+  std::vector<double> v(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, 8 * n);
+    pos_ += 8 * n;
+  } else {
+    for (double& d : v) d = f64();
+  }
   return v;
 }
 
@@ -218,7 +182,16 @@ sta::StageCharacterization read_stage_characterization(ByteReader& r) {
   return c;
 }
 
+std::size_t run_descriptor_wire_bytes(const RunDescriptor& d) noexcept {
+  // u16 kind, str workload, 7 u64 (hash .. block_width, lane count), the
+  // lanes, one u8 (enable_rdf) and 16 f64 fields.
+  std::size_t n = 2 + 8 + d.workload.size() + 7 * 8 + 1 + 16 * 8;
+  for (const auto& lane : d.size_grid) n += 8 + 8 * lane.size();
+  return n;
+}
+
 void write_run_descriptor(ByteWriter& w, const RunDescriptor& d) {
+  w.reserve(run_descriptor_wire_bytes(d));
   w.u16(static_cast<std::uint16_t>(d.task_kind));
   w.str(d.workload);
   w.u64(d.netlist_hash);

@@ -22,8 +22,10 @@
 // them; nothing below src/dist may know it exists.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,40 +50,79 @@ namespace statpipe::dist {
 inline constexpr std::uint32_t kWireMagic = 0x31445053;
 inline constexpr std::uint16_t kWireVersion = 4;
 
-/// Append-only little-endian byte sink.
+namespace detail {
+
+/// Reverses the bytes of an unsigned integer — the wire's little-endian
+/// order on a big-endian host.  (std::byteswap is C++23.)
+template <class T>
+constexpr T byteswap(T v) noexcept {
+  T r = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    r = static_cast<T>((r << 8) | (v & 0xff));
+    v = static_cast<T>(v >> 8);
+  }
+  return r;
+}
+
+/// Host <-> wire (little-endian) order; the identity on little-endian
+/// hosts, where the codec's integers are one memcpy each.
+template <class T>
+constexpr T to_wire_order(T v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) return byteswap(v);
+  return v;
+}
+
+}  // namespace detail
+
+/// Append-only little-endian byte sink.  Integers and f64 bit patterns are
+/// copied in one memcpy each (byte-swapped only on a big-endian host), and
+/// an f64 vector is one bulk copy, so encoding runs at memory speed.
 class ByteWriter {
  public:
+  /// Ensures room for `n` more bytes, so a writer that knows its exact
+  /// size (write_run_descriptor, encode_frame) allocates once.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   /// IEEE-754 bit pattern, little-endian — exact, not formatted.
-  void f64(double v);
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   /// u64 length followed by raw bytes.
   void str(const std::string& s);
   void f64_vec(const std::vector<double>& v);
   /// Appends pre-serialized bytes verbatim (no length prefix) — how a
   /// worker splices already-encoded unit payloads into a kResult frame.
-  void append(const std::vector<std::uint8_t>& b);
+  void append(std::span<const std::uint8_t> b);
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
+  template <class T>
+  void put(T v) {
+    v = detail::to_wire_order(v);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
 /// Bounds-checked little-endian reader over a borrowed buffer.  Every read
 /// past the end throws std::runtime_error("dist: truncated payload ...").
+/// Reads mirror ByteWriter: one memcpy per integer, one per f64 vector.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  double f64() { return std::bit_cast<double>(u64()); }
   std::string str();
   std::vector<double> f64_vec();
   /// Every remaining byte, consumed to the end — for trailing unprefixed
@@ -94,7 +135,19 @@ class ByteReader {
   void expect_done() const;
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (remaining() < n) throw_truncated(n);
+  }
+  [[noreturn]] void throw_truncated(std::size_t n) const;
+
+  template <class T>
+  T get() {
+    need(sizeof(T));
+    T v;
+    std::memcpy(&v, data_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return detail::to_wire_order(v);
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
@@ -173,6 +226,16 @@ struct RunDescriptor {
   double tech_avt = 30e-3 * 9.899494936611665e-8;
 };
 
+/// Exact byte length write_run_descriptor appends for `d`, so a writer
+/// reserves a descriptor in one allocation.
+std::size_t run_descriptor_wire_bytes(const RunDescriptor& d) noexcept;
+
+/// The descriptor codec has only fixed-width and length-prefixed fields,
+/// so it is a bijection on the bytes it accepts:
+/// write_run_descriptor(read_run_descriptor(b)) == b for every b that
+/// read_run_descriptor consumes to the end (expect_done).  The service
+/// relies on this to key its result cache on the descriptor bytes it
+/// received (dist/result_cache.h).
 void write_run_descriptor(ByteWriter& w, const RunDescriptor& d);
 RunDescriptor read_run_descriptor(ByteReader& r);
 

@@ -73,10 +73,14 @@ Service::~Service() = default;
 
 std::uint64_t Service::submit_local(const RunDescriptor& desc,
                                     std::uint32_t priority) {
-  return admit_request(desc, priority, /*client_session=*/0, /*client_id=*/0);
+  ByteWriter w;
+  write_run_descriptor(w, desc);
+  return admit_request(desc, w.take(), priority, /*client_session=*/0,
+                       /*client_id=*/0);
 }
 
-std::uint64_t Service::admit_request(RunDescriptor desc,
+std::uint64_t Service::admit_request(const RunDescriptor& desc,
+                                     std::vector<std::uint8_t> desc_bytes,
                                      std::uint32_t priority,
                                      std::uint64_t client_session,
                                      std::uint64_t client_id) {
@@ -114,11 +118,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
   rq.client_session = client_session;
   rq.client_id = client_id;
   rq.kind = desc.task_kind;
-  {
-    ByteWriter w;
-    write_run_descriptor(w, desc);
-    rq.desc_bytes = w.take();
-  }
+  rq.desc_bytes = std::move(desc_bytes);
   rq.cache_key = ResultCache::key_for(rq.desc_bytes);
   // Content-addressed cache: the canonical descriptor bytes (root_seed
   // included) are the whole identity of a run, so a hit IS the result.
@@ -562,9 +562,15 @@ bool Service::service_client(Peer& p) {
   try {
     ByteReader r(f->payload);
     const std::uint32_t priority = r.u32();
-    RunDescriptor desc = read_run_descriptor(r);
+    const RunDescriptor desc = read_run_descriptor(r);
     r.expect_done();
-    admit_request(std::move(desc), priority, p.session, f->request_id);
+    // The descriptor codec is a bijection on the bytes it accepts
+    // (dist/serialize.h), so the received bytes after the priority ARE
+    // write_run_descriptor(desc): they become the cache key and the kSetup
+    // payload without a re-encode.
+    f->payload.erase(f->payload.begin(), f->payload.begin() + 4);
+    admit_request(desc, std::move(f->payload), priority, p.session,
+                  f->request_id);
   } catch (const std::exception& e) {
     return reject(f->request_id, e.what());
   }
@@ -720,6 +726,7 @@ std::uint64_t ServiceClient::submit(const RunDescriptor& desc,
                                     std::uint32_t priority) {
   const std::uint64_t id = next_id_++;
   ByteWriter w;
+  w.reserve(4 + run_descriptor_wire_bytes(desc));
   w.u32(priority);
   write_run_descriptor(w, desc);
   send_frame(sock_, MsgType::kSubmit, w.bytes(), auth_, session_, id);

@@ -240,7 +240,11 @@ class Service {
     std::set<std::uint64_t> client_ids;  ///< request ids seen (dup guard)
   };
 
-  std::uint64_t admit_request(RunDescriptor desc, std::uint32_t priority,
+  /// `desc_bytes` is write_run_descriptor(desc): the cache key's input
+  /// and the kSetup payload.
+  std::uint64_t admit_request(const RunDescriptor& desc,
+                              std::vector<std::uint8_t> desc_bytes,
+                              std::uint32_t priority,
                               std::uint64_t client_session,
                               std::uint64_t client_id);
   void finish_request(Request& rq);

@@ -245,7 +245,9 @@ std::vector<std::uint8_t> encode_frame(MsgType type,
   if (payload.size() > kMaxFramePayload)
     throw std::runtime_error("dist: frame payload too large (" +
                              std::to_string(payload.size()) + " bytes)");
+  // Header, payload and MAC trailer in one exact-size buffer.
   ByteWriter w;
+  w.reserve(kHeaderSize + payload.size() + (auth.enabled ? kDigestSize : 0));
   w.u32(kWireMagic);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
@@ -253,17 +255,14 @@ std::vector<std::uint8_t> encode_frame(MsgType type,
   w.u64(session_id);
   w.u64(request_id);
   w.u64(payload.size());
-  std::vector<std::uint8_t> buf = w.take();
-  buf.insert(buf.end(), payload.begin(), payload.end());
+  w.append(payload);
   if (auth.enabled) {
     // MAC over header + payload: length, type, flags and the session /
     // request ids are all covered, so truncating, retyping, re-scoping or
     // de-authenticating a frame breaks the MAC.
-    const Digest tag =
-        auth.mac(std::span<const std::uint8_t>(buf.data(), buf.size()));
-    buf.insert(buf.end(), tag.begin(), tag.end());
+    w.append(auth.mac(w.bytes()));
   }
-  return buf;
+  return w.take();
 }
 
 void send_frame(Socket& s, MsgType type,
@@ -342,12 +341,7 @@ std::optional<Frame> recv_frame(Socket& s, const FrameAuth& auth) {
     Digest claimed{};
     if (!s.recv_all(claimed.data(), claimed.size()))
       throw std::runtime_error("dist: peer closed before frame MAC");
-    std::vector<std::uint8_t> covered;
-    covered.reserve(kHeaderSize + f.payload.size());
-    covered.insert(covered.end(), header, header + kHeaderSize);
-    covered.insert(covered.end(), f.payload.begin(), f.payload.end());
-    const Digest expected = auth.mac(
-        std::span<const std::uint8_t>(covered.data(), covered.size()));
+    const Digest expected = auth.mac(header, f.payload);
     if (!digest_equal_consttime(claimed, expected)) {
       c_auth_rejects().add();
       throw std::runtime_error(

@@ -185,4 +185,20 @@ std::uint64_t Netlist::structural_hash() const {
   return h;
 }
 
+bool Netlist::same_structure(const Netlist& other) const noexcept {
+  if (gates_.size() != other.gates_.size() || inputs_ != other.inputs_ ||
+      outputs_ != other.outputs_)
+    return false;
+  for (std::size_t i = 0; i < gates_.size(); ++i) {
+    const Gate& a = gates_[i];
+    const Gate& b = other.gates_[i];
+    if (a.kind != b.kind ||
+        std::bit_cast<std::uint64_t>(a.position) !=
+            std::bit_cast<std::uint64_t>(b.position) ||
+        a.fanins != b.fanins)
+      return false;
+  }
+  return true;
+}
+
 }  // namespace statpipe::netlist

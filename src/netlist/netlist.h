@@ -124,6 +124,12 @@ class Netlist {
   /// contributing shards.
   std::uint64_t structural_hash() const;
 
+  /// True when `other` has this netlist's structure: everything
+  /// structural_hash covers except sizes — per-gate kind, position bit
+  /// pattern and fanin list, and the input/output id lists.  Compared in
+  /// place, so checking a resized copy of a circuit copies nothing.
+  bool same_structure(const Netlist& other) const noexcept;
+
  private:
   std::string name_;
   std::vector<Gate> gates_;

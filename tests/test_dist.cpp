@@ -13,17 +13,21 @@
 #include <sys/socket.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "codec_oracle.h"
 #include "dist/cluster.h"
 #include "dist/hmac.h"
 #include "dist/serialize.h"
@@ -283,6 +287,138 @@ TEST(DistSerialize, RunDescriptorRoundTrip) {
   EXPECT_EQ(back.enable_rdf, d.enable_rdf);
   EXPECT_EQ(back.output_load, d.output_load);
   EXPECT_EQ(back.latch_tcq_ps, d.latch_tcq_ps);
+}
+
+// The memcpy codec against the byte-by-byte oracle (tests/codec_oracle.h).
+// Fuzzed descriptors carry arbitrary f64 bit patterns (NaN payloads
+// included), empty and ragged lanes and arbitrary name bytes: nothing a
+// validating reader downstream would accept is assumed.
+sp::dist::RunDescriptor fuzzed_descriptor(std::mt19937_64& g) {
+  auto any_f64 = [&] { return std::bit_cast<double>(g()); };
+  sp::dist::RunDescriptor d;
+  d.task_kind = g() % 2 == 0 ? sp::dist::TaskKind::kMonteCarlo
+                             : sp::dist::TaskKind::kSstaGrid;
+  d.workload.resize(g() % 24);
+  for (char& c : d.workload) c = static_cast<char>(g());
+  for (std::uint64_t* v : {&d.netlist_hash, &d.seed, &d.root_seed,
+                           &d.n_samples, &d.samples_per_shard,
+                           &d.block_width})
+    *v = g();
+  d.size_grid.resize(g() % 5);
+  for (auto& lane : d.size_grid) {
+    lane.resize(g() % 40);
+    for (double& s : lane) s = any_f64();
+  }
+  d.enable_rdf = static_cast<std::uint8_t>(g());
+  for (double* v : {&d.sigma_vth_inter, &d.sigma_vth_systematic,
+                    &d.correlation_length, &d.sigma_l_inter_rel,
+                    &d.sigma_l_systematic_rel, &d.output_load,
+                    &d.latch_tcq_ps, &d.latch_tsetup_ps,
+                    &d.latch_random_sigma_rel, &d.tech_vdd, &d.tech_vth0,
+                    &d.tech_leff, &d.tech_wmin, &d.tech_alpha,
+                    &d.tech_tau_ps, &d.tech_avt})
+    *v = any_f64();
+  return d;
+}
+
+std::vector<std::uint8_t> encode(const sp::dist::RunDescriptor& d) {
+  ByteWriter w;
+  sp::dist::write_run_descriptor(w, d);
+  return w.take();
+}
+
+TEST(DistSerialize, PrimitivesMatchByteByByteOracle) {
+  std::mt19937_64 g(99);
+  ByteWriter w;
+  codec_oracle::Writer o;
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::uint64_t v = g();
+    w.u8(static_cast<std::uint8_t>(v));
+    o.u8(static_cast<std::uint8_t>(v));
+    w.u16(static_cast<std::uint16_t>(v));
+    o.u16(static_cast<std::uint16_t>(v));
+    w.u32(static_cast<std::uint32_t>(v));
+    o.u32(static_cast<std::uint32_t>(v));
+    w.u64(v);
+    o.u64(v);
+    w.f64(std::bit_cast<double>(v));
+    o.f64(std::bit_cast<double>(v));
+  }
+  EXPECT_EQ(w.bytes(), o.buf);
+  // Read back with both readers: the same values in the same order.
+  ByteReader r(w.bytes());
+  codec_oracle::Reader ro(o.buf);
+  for (int rep = 0; rep < 200; ++rep) {
+    EXPECT_EQ(r.u8(), ro.u8());
+    EXPECT_EQ(r.u16(), ro.u16());
+    EXPECT_EQ(r.u32(), ro.u32());
+    EXPECT_EQ(r.u64(), ro.u64());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+              std::bit_cast<std::uint64_t>(ro.f64()));
+  }
+  EXPECT_TRUE(r.done());
+  EXPECT_TRUE(ro.done());
+}
+
+TEST(DistSerialize, DescriptorCodecMatchesByteByByteOracle) {
+  std::mt19937_64 g(4242);
+  std::vector<sp::dist::RunDescriptor> descs = {
+      small_descriptor("c432,c880", 2048, 256), grid_descriptor("c432", 5)};
+  for (int rep = 0; rep < 300; ++rep) descs.push_back(fuzzed_descriptor(g));
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    const auto& d = descs[i];
+    const std::vector<std::uint8_t> bytes = encode(d);
+    const std::vector<std::uint8_t> oracle =
+        codec_oracle::run_descriptor_bytes(d);
+    ASSERT_EQ(bytes, oracle) << "descriptor " << i;
+    // The size write_run_descriptor reserves is the size it writes.
+    EXPECT_EQ(sp::dist::run_descriptor_wire_bytes(d), bytes.size());
+    // Each codec decodes the other's bytes back to the same bytes — the
+    // bijection the service's cache key relies on.
+    ByteReader r(oracle);
+    const auto back = sp::dist::read_run_descriptor(r);
+    r.expect_done();
+    EXPECT_EQ(codec_oracle::run_descriptor_bytes(back), oracle)
+        << "descriptor " << i;
+    EXPECT_EQ(encode(codec_oracle::read_run_descriptor(bytes)), bytes)
+        << "descriptor " << i;
+  }
+}
+
+TEST(DistSerialize, ResultBlobsMatchByteByByteOracle) {
+  std::mt19937_64 g(1234);
+  std::normal_distribution<double> d(250.0, 40.0);
+  for (int rep = 0; rep < 50; ++rep) {
+    sp::mc::McResult m;
+    m.label = rep % 3 == 0 ? "" : "fuzz run " + std::to_string(rep);
+    const std::size_t n = g() % 300;
+    for (std::size_t i = 0; i < n; ++i)
+      m.tp_samples.push_back(i % 7 == 0 ? std::bit_cast<double>(g()) : d(g));
+    m.stage_stats.resize(g() % 5);
+    for (auto& s : m.stage_stats) s = random_stats(g, g() % 100);
+    const auto oracle = codec_oracle::mc_result_blob(m);
+    EXPECT_EQ(sp::dist::serialize_mc_result(m), oracle) << "result " << rep;
+    EXPECT_EQ(codec_oracle::mc_result_blob(
+                  sp::dist::deserialize_mc_result(oracle)),
+              oracle)
+        << "result " << rep;
+
+    std::vector<sp::sta::StageCharacterization> lanes(g() % 12);
+    for (auto& c : lanes) {
+      c.delay = {d(g), std::abs(d(g))};
+      c.sigma_inter = std::abs(d(g));
+      c.sigma_private = std::bit_cast<double>(g());
+      c.area = std::abs(d(g));
+      c.nominal_delay = d(g);
+    }
+    const auto lane_oracle = codec_oracle::characterizations_blob(lanes);
+    EXPECT_EQ(sp::dist::serialize_characterizations(lanes), lane_oracle)
+        << "lanes " << rep;
+    EXPECT_EQ(codec_oracle::characterizations_blob(
+                  sp::dist::deserialize_characterizations(lane_oracle)),
+              lane_oracle)
+        << "lanes " << rep;
+  }
 }
 
 // ------------------------------------------------------------- workload
@@ -952,10 +1088,24 @@ TEST(DistCluster, WorkloadNameForVerifiesStructure) {
   for (double& s : sizes) s *= 1.3;
   nl.set_sizes(sizes);
   EXPECT_EQ(sp::dist::workload_name_for(nl), "c432");
-  // A structural edit (not just sizes) must be rejected.
+  // A structural edit (not just sizes) must be rejected: another circuit
+  // under this name...
   sp::netlist::Netlist renamed = sp::netlist::iscas_like("c880");
   renamed.set_name("c432_like");
   EXPECT_THROW(sp::dist::workload_name_for(renamed), std::invalid_argument);
+  // ...or the same circuit with one fanin rewired.
+  auto rewired = sp::netlist::iscas_like("c432");
+  for (sp::netlist::GateId id = 0; id < rewired.size(); ++id) {
+    auto& fanins = rewired.gate(id).fanins;
+    if (fanins.empty()) continue;
+    fanins[0] = fanins[0] == 0 ? 1 : 0;
+    break;
+  }
+  EXPECT_THROW(sp::dist::workload_name_for(rewired), std::invalid_argument);
+  // A name the registry does not know still throws.
+  auto unknown = sp::netlist::iscas_like("c432");
+  unknown.set_name("c9999_like");
+  EXPECT_THROW(sp::dist::workload_name_for(unknown), std::invalid_argument);
 }
 
 // The grid acceptance contract: a sweep grid split across TWO worker
@@ -1176,9 +1326,28 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+// SHA-256 through a context on an explicit compression path.
+sp::dist::Digest sha256_on(sp::dist::detail::Sha256Compress compress,
+                           std::span<const std::uint8_t> data) {
+  return sp::dist::Sha256(compress).update(data).final();
+}
+
+const char* sha256_backend() {
+  return sp::dist::detail::sha256_compress_dispatched() ==
+                 sp::dist::detail::sha256_compress_portable
+             ? "portable"
+             : "sha-ni";
+}
+
 TEST(DistHmac, Sha256KnownAnswerVectors) {
   // FIPS 180-4 / NIST CAVP vectors: empty, one block, two blocks, and a
-  // long input that crosses many block boundaries.
+  // long input that crosses many block boundaries.  sha256() runs the
+  // dispatched compression (SHA-NI where cpuid reports it); the portable
+  // path must pass the same vectors.
+  const std::vector<std::uint8_t> abc = bytes_of("abc");
+  EXPECT_EQ(sha256_on(sp::dist::detail::sha256_compress_portable, abc),
+            sp::dist::sha256(abc))
+      << "dispatched backend " << sha256_backend();
   EXPECT_EQ(sp::dist::sha256(bytes_of("")),
             hex_digest("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934c"
                        "a495991b7852b855"));
@@ -1194,6 +1363,36 @@ TEST(DistHmac, Sha256KnownAnswerVectors) {
   EXPECT_EQ(sp::dist::sha256(million),
             hex_digest("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e"
                        "046d39ccc7112cd0"));
+}
+
+// The dispatched compression (SHA-NI where cpuid reports it) against the
+// portable one on every length 0..1024 — each padding case, including the
+// 55/56 and 119/120 edges where the length field spills into another
+// block — and on a 110 KB descriptor-sized buffer, hashed in one piece and
+// fed through the incremental context in uneven pieces.
+TEST(DistHmac, DispatchedCompressionMatchesPortableOnEveryLength) {
+  using sp::dist::detail::sha256_compress_portable;
+  std::mt19937_64 g(2026);
+  std::vector<std::uint8_t> buf(110 * 1024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(g());
+  const std::span<const std::uint8_t> all(buf);
+  RecordProperty("sha256_backend", sha256_backend());
+  for (std::size_t len = 0; len <= 1024; ++len)
+    ASSERT_EQ(sp::dist::sha256(all.first(len)),
+              sha256_on(sha256_compress_portable, all.first(len)))
+        << "length " << len << ", backend "
+        << sha256_backend();
+  for (std::size_t len : {55, 56, 63, 64, 119, 120, 110 * 1024}) {
+    const auto data = all.first(len);
+    const sp::dist::Digest want = sha256_on(sha256_compress_portable, data);
+    EXPECT_EQ(sp::dist::sha256(data), want) << "length " << len;
+    for (std::size_t piece : {1, 7, 63, 64, 65, 1000}) {
+      sp::dist::Sha256 ctx;
+      for (std::size_t at = 0; at < len; at += piece)
+        ctx.update(data.subspan(at, std::min(piece, len - at)));
+      EXPECT_EQ(ctx.final(), want) << "length " << len << ", piece " << piece;
+    }
+  }
 }
 
 TEST(DistHmac, HmacSha256Rfc4231Vectors) {
@@ -1249,6 +1448,13 @@ TEST(DistHmac, FrameAuthDerivesKeyFromPassphrase) {
   const auto data = bytes_of("frame bytes");
   EXPECT_EQ(auth.mac(data), auth.mac(data));
   EXPECT_NE(auth.mac(data), other.mac(data));
+  // The two-part MAC (a frame's header and payload where they lie) is the
+  // MAC of the concatenation, wherever the split falls.
+  for (std::size_t cut = 0; cut <= data.size(); ++cut)
+    EXPECT_EQ(auth.mac(std::span(data).first(cut),
+                       std::span(data).subspan(cut)),
+              auth.mac(data))
+        << "split at " << cut;
 }
 
 // --------------------------------------------- transport authentication

@@ -781,6 +781,63 @@ TEST(ServiceRegistry, CacheHitBuildsNothing) {
   reap(svc, pid);
 }
 
+// The service keys a remote submit on the descriptor bytes it received
+// (the kSubmit payload after the u32 priority) instead of re-encoding the
+// descriptor it decoded.  The key must still be
+// ResultCache::key_for(write_run_descriptor(decoded)) — the key a local
+// submission of the same descriptor computes — so each path's entry is a
+// hit for the other.
+TEST(ServiceCache, RemoteKeyIsTheEncodedDecodedDescriptor) {
+  const sp::dist::RunDescriptor remote_first = grid_descriptor(3, 0.11);
+  const sp::dist::RunDescriptor local_first = mc_descriptor(616, 256, 64);
+
+  // The bytes a client sends decode to a descriptor that re-encodes to
+  // those very bytes.
+  const std::vector<std::uint8_t> payload = submit_payload(remote_first, 7);
+  ByteReader r(payload);
+  EXPECT_EQ(r.u32(), 7u);
+  const sp::dist::RunDescriptor decoded = sp::dist::read_run_descriptor(r);
+  r.expect_done();
+  ByteWriter w;
+  sp::dist::write_run_descriptor(w, decoded);
+  EXPECT_EQ(w.bytes(),
+            std::vector<std::uint8_t>(payload.begin() + 4, payload.end()));
+
+  sp::dist::Service svc({});
+  const pid_t pid = spawn_worker(svc.port());
+  // Local first: computed by the worker, then a hit for a client.
+  const std::uint64_t computed = svc.submit_local(local_first);
+  svc.run([&] { return svc.local_done(computed); });
+  EXPECT_EQ(svc.local_metrics(computed).cache_misses, 1u);
+  const sp::dist::TaskResult local_ref = svc.take_local_result(computed);
+
+  sp::dist::TaskResult remote_ref, remote_hit;
+  bool first_hit = true, second_hit = false;
+  serve_client(svc, [&](std::atomic<bool>& done) {
+    sp::dist::ServiceClient c("127.0.0.1", svc.port());
+    const std::uint64_t a = c.submit(remote_first, 7);  // computed
+    remote_ref = c.wait(a);
+    first_hit = c.info(a).cache_hit;
+    const std::uint64_t b = c.submit(local_first);  // the local entry
+    remote_hit = c.wait(b);
+    second_hit = c.info(b).cache_hit;
+    done = true;
+  });
+  EXPECT_FALSE(first_hit);
+  EXPECT_TRUE(second_hit);
+  EXPECT_TRUE(sp::dist::bitwise_equal(remote_hit, local_ref));
+
+  // Remote first: the entry keyed on the received bytes is a hit for a
+  // local submission of the decoded descriptor.
+  const std::uint64_t hit = svc.submit_local(decoded);
+  ASSERT_TRUE(svc.local_done(hit));
+  EXPECT_EQ(svc.local_metrics(hit).cache_hits, 1u);
+  EXPECT_TRUE(sp::dist::bitwise_equal(svc.take_local_result(hit), remote_ref));
+
+  svc.shutdown_workers();
+  reap(svc, pid);
+}
+
 // -------------------------------------- concurrent multi-client property
 
 // The service's acceptance property (scheduler determinism): concurrent
